@@ -50,7 +50,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     canc_iteration,
-    coteaching_iteration,
     dataset_metrics,
     flip_labels,
     predict_dataset,
@@ -109,7 +108,6 @@ __all__ = [
     "select_clean",
     "select_swap",
     "flip_labels",
-    "coteaching_iteration",
     "canc_iteration",
     "train",
     "predict_dataset",

@@ -269,27 +269,49 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
 # flat binary dataset files
 #
 # Header (little-endian): magic "CANC", version u32, m u32, channels u32,
-# count u32. Version 1 records: label u8 + m*m*C float32 (row-major).
-# Version 2 records (noise-injected datasets): noisy-label u8 + clean-label
-# u8 + the same float32 patch.
+# count u32, then count packed records. Version 3 records: noisy label u8,
+# clean label u8 (NO_LABEL when the dataset has none), scene id, row and
+# col as int32, and the m*m*C float32 patch (row-major). Versions 1 and 2
+# are still read: v1 records are a label u8 plus the patch, v2 records a
+# noisy u8, a clean u8 and the patch; neither keeps scene ids or positions.
+
+VERSION = 3
+NO_LABEL = 255
+
+
+# the per-version record layout, without the trailing patch field
+_RECORD_FIELDS = {
+    1: [("label", "u1")],
+    2: [("label", "u1"), ("clean", "u1")],
+    3: [("label", "u1"), ("clean", "u1"), ("scene", "<i4"), ("row", "<i4"), ("col", "<i4")],
+}
+
+
+def _record_dtype(version: int, m: int, c: int) -> np.dtype:
+    return np.dtype(_RECORD_FIELDS[version] + [("patch", "<f4", (m, m, c))])
 
 
 def write_dataset(path, ds: MaskDataset):
-    version = 1 if ds.clean_labels is None else 2
     m, c, n = ds.m, ds.channels, len(ds)
+    records = np.empty(n, dtype=_record_dtype(VERSION, m, c))
+    records["label"] = ds.labels
+    records["clean"] = NO_LABEL if ds.clean_labels is None else ds.clean_labels
+    records["scene"] = ds.scene_ids
+    records["row"] = ds.rows
+    records["col"] = ds.cols
+    records["patch"] = ds.patches
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, version, m, c, n))
-        patches32 = ds.patches.astype("<f4")
-        for i in range(n):
-            fh.write(struct.pack("<B", int(ds.labels[i])))
-            if version == 2:
-                fh.write(struct.pack("<B", int(ds.clean_labels[i])))
-            fh.write(patches32[i].tobytes())
+        fh.write(_HEADER.pack(MAGIC, VERSION, m, c, n))
+        records.tofile(fh)
 
 
-def read_dataset(path, tau_label: float = 0.01, scene_id: int = 0) -> MaskDataset:
-    """Read a dataset file back. Grid positions are synthesized row-major
-    (per-scene files written by gen-data preserve them exactly)."""
+def read_dataset(path, tau_label: float = 0.01) -> MaskDataset:
+    """Read a dataset file of any supported version back.
+
+    Version 3 files keep each mask's scene id and grid position. Version 1
+    and 2 files keep neither: their masks all read as scene 0, with
+    positions synthesized row-major on a square-ish grid.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -297,29 +319,28 @@ def read_dataset(path, tau_label: float = 0.01, scene_id: int = 0) -> MaskDatase
         magic, version, m, c, n = _HEADER.unpack(header)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        if version not in (1, 2):
+        if version not in _RECORD_FIELDS:
             raise DataError(f"{path}: unsupported version {version}")
-        patch_bytes = m * m * c * 4
-        labels = np.empty(n, dtype=np.int64)
-        clean = np.empty(n, dtype=np.int64) if version == 2 else None
-        patches = np.empty((n, m, m, c), dtype=np.float64)
-        for i in range(n):
-            labels[i] = struct.unpack("<B", fh.read(1))[0]
-            if version == 2:
-                clean[i] = struct.unpack("<B", fh.read(1))[0]
-            raw = fh.read(patch_bytes)
-            if len(raw) != patch_bytes:
-                raise DataError(f"{path}: truncated record {i}")
-            patches[i] = np.frombuffer(raw, dtype="<f4").reshape(m, m, c)
-    g = max(1, int(np.sqrt(n)))
-    rows, cols = np.divmod(np.arange(n, dtype=np.int64), g)
+        records = np.fromfile(fh, dtype=_record_dtype(version, m, c), count=n)
+    if len(records) != n:
+        raise DataError(f"{path}: truncated after record {len(records)} of {n}")
+    names = records.dtype.names
+    clean = records["clean"] if "clean" in names else None
+    if clean is not None and np.all(clean == NO_LABEL):
+        clean = None
+    if "scene" in names:
+        scene_ids, rows, cols = records["scene"], records["row"], records["col"]
+    else:
+        g = max(1, int(np.sqrt(n)))
+        rows, cols = np.divmod(np.arange(n, dtype=np.int64), g)
+        scene_ids = np.zeros(n, dtype=np.int64)
     return MaskDataset(
-        patches=patches,
-        labels=labels,
-        scene_ids=np.full(n, scene_id, dtype=np.int64),
-        rows=rows,
-        cols=cols,
+        patches=records["patch"].astype(np.float64),
+        labels=records["label"].astype(np.int64),
+        scene_ids=scene_ids.astype(np.int64),
+        rows=rows.astype(np.int64),
+        cols=cols.astype(np.int64),
         m=m,
         tau_label=tau_label,
-        clean_labels=clean,
+        clean_labels=None if clean is None else clean.astype(np.int64),
     )

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
 from .nn import NetworkSpec, parse_layers
 from .noise import make_transition, inject
-from .training import TrainResult, dataset_metrics, predict_dataset, train
+from .training import TrainResult, predict_dataset, train
 from .version import __version__
 
 __all__ = [
@@ -110,10 +110,10 @@ def _scene_params(d: DataConfig) -> SceneGenParams:
     )
 
 
-def prepare_data(cfg: ExperimentConfig):
-    """Steps 1-2 of the pipeline: build/read the mask dataset, split it, and
-    inject label noise into the training partition (and optionally the
-    model-selection partition). Evaluation labels stay clean."""
+def _build_split_noise(cfg: ExperimentConfig):
+    """Build or read the whole mask dataset, split it, and inject label
+    noise into the training partition (and optionally the model-selection
+    partition). Returns (whole, train, modelsel, eval)."""
     d = cfg.data
     if d.source == "synthetic":
         params = _scene_params(d)
@@ -121,6 +121,11 @@ def prepare_data(cfg: ExperimentConfig):
         ds = build_mask_dataset(scenes, d.m, d.tau_label)
     else:
         ds = read_dataset(d.path, tau_label=d.tau_label)
+        if ds.clean_labels is not None:
+            raise ConfigError(
+                f"{d.path} already has noisy labels; a file source must hold the "
+                "clean truth, as gen-data's full.bin does"
+            )
     train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
 
     if cfg.noise.kind != "none":
@@ -128,7 +133,14 @@ def prepare_data(cfg: ExperimentConfig):
         train_ds = inject(train_ds, t, np.random.SeedSequence((cfg.noise.seed, 0)))
         if cfg.noise.noise_modelsel:
             modelsel_ds = inject(modelsel_ds, t, np.random.SeedSequence((cfg.noise.seed, 1)))
-    return train_ds, modelsel_ds, eval_ds
+    return ds, train_ds, modelsel_ds, eval_ds
+
+
+def prepare_data(cfg: ExperimentConfig):
+    """Steps 1-2 of the pipeline: the (train, modelsel, eval) partitions,
+    with label noise in train (and optionally modelsel). Evaluation labels
+    stay clean."""
+    return _build_split_noise(cfg)[1:]
 
 
 def _net_spec(cfg: ExperimentConfig) -> NetworkSpec:
@@ -192,12 +204,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     train_ds, modelsel_ds, eval_ds = prepare_data(cfg)
     result = train(train_ds, modelsel_ds, _net_spec(cfg), cfg.train)
 
-    final = {
-        "train": _metrics_dict(dataset_metrics(result.best_network, train_ds)),
-        "modelsel": _metrics_dict(dataset_metrics(result.best_network, modelsel_ds)),
-        "eval": _metrics_dict(dataset_metrics(result.best_network, eval_ds)),
-    }
+    # the best epoch's record already scored the best network on train and
+    # modelsel; only the eval split is predicted here
+    best = result.records[result.best_epoch]
     eval_pred = predict_dataset(result.best_network, eval_ds.patches)
+    final = {
+        "train": _metrics_dict(best.train_metrics),
+        "modelsel": _metrics_dict(best.modelsel_metrics),
+        "eval": _metrics_dict(prf1(confusion(eval_ds.labels, eval_pred))),
+    }
     ious = scene_sp_iou(eval_ds.scene_ids, eval_ds.labels, eval_pred)
     final["eval"]["sp_iou_mean"] = (
         float(np.mean([x["sp_iou"] for x in ious])) if ious else math.nan
@@ -251,31 +266,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
 
 
 def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
-    """Materialize the dataset to binary files: full.bin holds every mask
-    with clean labels; train/modelsel/eval.bin hold the split partitions,
-    train.bin with noise baked in when noise is configured."""
+    """Materialize the dataset to binary files through the same build,
+    split and noise steps as a run: full.bin holds every mask with its true
+    label; train/modelsel/eval.bin hold the split partitions, train.bin
+    with noise baked in (and the clean labels kept) when noise is
+    configured."""
+    if cfg.data.source != "synthetic":
+        raise ConfigError("gen-data needs [data] source = synthetic")
     out = resolve_out_dir(cfg.output.dir, out_dir)
     os.makedirs(out, exist_ok=True)
-    d = cfg.data
-    if d.source != "synthetic":
-        raise ConfigError("gen-data needs [data] source = synthetic")
-    params = _scene_params(d)
-    scenes = [generate_scene(params, scene_id=i) for i in range(d.n_scenes)]
-    ds = build_mask_dataset(scenes, d.m, d.tau_label)
-    train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
-    if cfg.noise.kind != "none":
-        t = make_transition(cfg.noise.kind, cfg.noise.epsilon)
-        train_ds = inject(train_ds, t, np.random.SeedSequence((cfg.noise.seed, 0)))
-        if cfg.noise.noise_modelsel:
-            modelsel_ds = inject(modelsel_ds, t, np.random.SeedSequence((cfg.noise.seed, 1)))
 
-    manifest = {"version": __version__, "m": d.m, "channels": d.channels, "files": {}}
-    for fname, part in (
-        ("full.bin", ds),
-        ("train.bin", train_ds),
-        ("modelsel.bin", modelsel_ds),
-        ("eval.bin", eval_ds),
-    ):
+    manifest = {"version": __version__, "m": cfg.data.m, "channels": cfg.data.channels, "files": {}}
+    names = ("full.bin", "train.bin", "modelsel.bin", "eval.bin")
+    for fname, part in zip(names, _build_split_noise(cfg)):
         path = os.path.join(out, fname)
         tmp = path + ".tmp"
         write_dataset(tmp, part)

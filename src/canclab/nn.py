@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -187,12 +187,10 @@ class Network:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A mini-batch: images (B,m,m,C) in [0,1], labels in {0,1}, and the
-    sample indices into the parent dataset (used for diagnostics)."""
+    """A mini-batch: images (B,m,m,C) in [0,1] and labels in {0,1}."""
 
     x: np.ndarray
     y: np.ndarray
-    indices: np.ndarray = field(default=None)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -203,13 +201,8 @@ class Batch:
             raise ValueError("batch must contain at least one sample")
         if y.shape != (x.shape[0],):
             raise ValueError("labels must have length B")
-        idx = self.indices
-        idx = np.arange(x.shape[0], dtype=np.int64) if idx is None else np.asarray(idx, dtype=np.int64)
-        if idx.shape != (x.shape[0],):
-            raise ValueError("indices must have length B")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "indices", idx)
 
     def __len__(self):
         return self.x.shape[0]

@@ -1,13 +1,14 @@
 """Noise-robust training loops: vanilla, co-teaching, and co-teaching with
-active label swapping.
+active label swapping (CANC).
 
 The two-network algorithms cross-teach: each network ranks the mini-batch
 by its own per-sample loss on the labels as given, keeps the low-loss
-fraction R as presumed-clean, and (swap variant) additionally takes the
-top-loss fraction S, flips those binary labels, and hands the union to the
-peer for one SGD step. Selections always use pre-update parameters, so the
-two updates per iteration are order-independent and the whole loop is
-bitwise reproducible from its seeds.
+fraction R as presumed-clean, additionally takes the top-loss fraction S
+and flips those binary labels, and hands the union to the peer for one SGD
+step. Co-teaching is CANC at S=0, so both run the same step,
+canc_iteration. Selections always use pre-update parameters, so the two
+updates per iteration are order-independent and the whole loop is bitwise
+reproducible from its seeds.
 
 R follows a schedule that starts at 1 (first epoch trains on everything)
 and decays linearly to a floor of 1 - tau_f at epoch t_k.
@@ -35,7 +36,6 @@ __all__ = [
     "select_clean",
     "select_swap",
     "flip_labels",
-    "coteaching_iteration",
     "canc_iteration",
     "train",
     "predict_dataset",
@@ -193,7 +193,7 @@ def _teaching_batch(batch: Batch, clean_idx, swap_idx) -> Batch:
     flipped = flip_labels(batch.y, swap_idx)
     x = np.concatenate([batch.x[clean_idx], batch.x[swap_idx]])
     y = np.concatenate([batch.y[clean_idx], flipped[swap_idx]])
-    return Batch(x=x, y=y, indices=np.concatenate([batch.indices[clean_idx], batch.indices[swap_idx]]))
+    return Batch(x=x, y=y)
 
 
 def _select_sets(losses, r: float, s: float) -> tuple:
@@ -206,19 +206,6 @@ def _select_sets(losses, r: float, s: float) -> tuple:
         if clean.size == 0:
             clean = np.setdiff1d(select_clean(losses, 1.0), swap, assume_unique=True)[:1]
     return clean, swap
-
-
-def coteaching_iteration(m1: Network, m2: Network, batch: Batch, r: float, lr: float):
-    """One cross-teaching step without swapping: each network's low-loss
-    picks update the other network."""
-    losses_1 = per_sample_loss(m1, batch)
-    losses_2 = per_sample_loss(m2, batch)
-    clean_1 = select_clean(losses_1, r)
-    clean_2 = select_clean(losses_2, r)
-    m2_new = sgd_step(m2, Batch(batch.x[clean_1], batch.y[clean_1], batch.indices[clean_1]), lr)
-    m1_new = sgd_step(m1, Batch(batch.x[clean_2], batch.y[clean_2], batch.indices[clean_2]), lr)
-    empty = np.empty(0, dtype=np.int64)
-    return m1_new, m2_new, IterationDiag(clean_1, empty, clean_2, empty)
 
 
 def canc_iteration(
@@ -285,9 +272,10 @@ def train(
     accuracy plus all epoch records.
 
     vanilla trains one network on every label as given. coteaching and canc
-    train two networks that cross-teach; canc additionally swaps top-loss
-    labels at the configured rate. With persist_swaps, flips write back to
-    a private working copy of the labels (the input dataset is untouched).
+    train two networks that cross-teach through canc_iteration; coteaching
+    runs it at S=0, canc at the configured swap rate. With persist_swaps,
+    flips write back to a private working copy of the labels (the input
+    dataset is untouched).
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
@@ -316,25 +304,20 @@ def train(
 
         n_clean = n_swapped = n_swap_correct = 0
         for idx in _epoch_batches(shuffle_rng, n, config.batch_size, n_max):
-            batch = Batch(train_ds.patches[idx], labels_work[idx], idx)
+            batch = Batch(train_ds.patches[idx], labels_work[idx])
             if config.algo == "vanilla":
                 nets[0] = sgd_step(nets[0], batch, config.lr)
                 n_clean += len(batch)
                 continue
-            if config.algo == "coteaching":
-                nets[0], nets[1], diag = coteaching_iteration(
-                    nets[0], nets[1], batch, r, config.lr
-                )
-            else:
-                nets[0], nets[1], diag = canc_iteration(
-                    nets[0],
-                    nets[1],
-                    batch,
-                    r,
-                    s_eff,
-                    config.lr,
-                    allow_overlap=config.swap_mode == "one_minus_r",
-                )
+            nets[0], nets[1], diag = canc_iteration(
+                nets[0],
+                nets[1],
+                batch,
+                r,
+                s_eff,
+                config.lr,
+                allow_overlap=config.swap_mode == "one_minus_r",
+            )
             n_clean += len(diag.clean_for_m2) + len(diag.clean_for_m1)
             n_swapped += len(diag.swap_for_m2) + len(diag.swap_for_m1)
             swapped_local = np.concatenate([diag.swap_for_m2, diag.swap_for_m1])

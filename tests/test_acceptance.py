@@ -36,10 +36,12 @@ from canclab import (
     tile_scene,
     train,
 )
+from canclab import training
 from canclab.config import load_config
 from canclab.data import SceneGenParams
 from canclab.harness import prepare_data, run_experiment
 from canclab.nn import Batch, init_network
+from oracles import coteaching_iteration
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -153,7 +155,7 @@ def _tiny_dataset(seed=3, n_scenes=4, size=128, m=16):
     return ds.with_labels(noisy, clean_labels=ds.labels)
 
 
-def test_criterion_06_canc_s0_reduces_to_coteaching():
+def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
     ds = _tiny_dataset()
     spec = NetworkSpec(
         input_size=16,
@@ -174,7 +176,12 @@ def test_criterion_06_canc_s0_reduces_to_coteaching():
             init_seed_1=202,
             init_seed_2=303,
         )
-        results[algo] = train(ds, ds, spec, cfg)
+        with monkeypatch.context() as mp:
+            # co-teaching runs the independent reference step in place of
+            # canc_iteration, so the check never compares a function with itself
+            if algo == "coteaching":
+                mp.setattr(training, "canc_iteration", coteaching_iteration)
+            results[algo] = train(ds, ds, spec, cfg)
     a, b = results["coteaching"], results["canc"]
     ok = repr(a.records) == repr(b.records)
     for net_a, net_b in zip(a.final_networks, b.final_networks):

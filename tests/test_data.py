@@ -2,6 +2,7 @@
 binary dataset format."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from canclab import (
     tile_scene,
     write_dataset,
 )
+from canclab.data import NO_LABEL
 
 
 def small_params(**kw):
@@ -205,14 +207,43 @@ def test_zero_fraction_partitions_allowed():
 # binary format
 
 
+def write_legacy_dataset(path, ds):
+    """Reference writer for the superseded formats, one struct-packed
+    record at a time: version 1 (label + patch) without clean labels,
+    version 2 (noisy label + clean label + patch) with them."""
+    version = 1 if ds.clean_labels is None else 2
+    m, c, n = ds.m, ds.channels, len(ds)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIII", b"CANC", version, m, c, n))
+        patches32 = ds.patches.astype("<f4")
+        for i in range(n):
+            fh.write(struct.pack("<B", int(ds.labels[i])))
+            if version == 2:
+                fh.write(struct.pack("<B", int(ds.clean_labels[i])))
+            fh.write(patches32[i].tobytes())
+
+
+def file_version(path):
+    with open(path, "rb") as fh:
+        return struct.unpack("<4sI", fh.read(8))[1]
+
+
+def assert_same_origin(back, ds):
+    assert np.array_equal(back.scene_ids, ds.scene_ids)
+    assert np.array_equal(back.rows, ds.rows)
+    assert np.array_equal(back.cols, ds.cols)
+
+
 def test_dataset_file_roundtrip(tmp_path):
     ds = make_dataset(n_scenes=2, m=8)
     path = os.path.join(tmp_path, "d.bin")
     write_dataset(path, ds)
+    assert file_version(path) == 3
     back = read_dataset(path, tau_label=ds.tau_label)
     assert back.m == ds.m and back.channels == ds.channels and len(back) == len(ds)
     assert np.array_equal(back.labels, ds.labels)
     assert back.clean_labels is None
+    assert_same_origin(back, ds)
     # patches round-trip through float32 storage
     assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
 
@@ -225,6 +256,60 @@ def test_dataset_file_roundtrip_with_clean_labels(tmp_path):
     back = read_dataset(path)
     assert np.array_equal(back.labels, noisy.labels)
     assert np.array_equal(back.clean_labels, ds.labels)
+    assert_same_origin(back, ds)
+
+
+def test_dataset_file_v3_layout(tmp_path):
+    # one packed record: noisy u8, clean u8, scene/row/col int32, patch
+    ds = make_dataset(n_scenes=2, m=8).take([70])
+    path = os.path.join(tmp_path, "one.bin")
+    write_dataset(path, ds)
+    raw = open(path, "rb").read()
+    assert len(raw) == 20 + 14 + 8 * 8 * 4
+    label, clean, scene, row, col = struct.unpack("<BBiii", raw[20:34])
+    assert (label, clean) == (ds.labels[0], NO_LABEL)
+    assert (scene, row, col) == (1, 0, 6)
+    assert raw[34:] == ds.patches.astype("<f4").tobytes()
+
+
+def test_legacy_v1_file_reads_as_one_scene(tmp_path):
+    ds = make_dataset(n_scenes=1, m=8)  # an 8x8 grid: the square-ish layout matches
+    path = os.path.join(tmp_path, "v1.bin")
+    write_legacy_dataset(path, ds)
+    assert file_version(path) == 1
+    back = read_dataset(path, tau_label=ds.tau_label)
+    assert back.m == ds.m and back.channels == ds.channels and len(back) == len(ds)
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.clean_labels is None
+    assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
+    assert_same_origin(back, ds)
+
+
+def test_legacy_v2_file_reads_clean_labels(tmp_path):
+    ds = make_dataset(n_scenes=2, m=8)
+    noisy = ds.with_labels(1 - ds.labels, clean_labels=ds.labels)
+    path = os.path.join(tmp_path, "v2.bin")
+    write_legacy_dataset(path, noisy)
+    assert file_version(path) == 2
+    back = read_dataset(path)
+    assert np.array_equal(back.labels, noisy.labels)
+    assert np.array_equal(back.clean_labels, ds.labels)
+    assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
+    # v2 keeps no origin: every mask is scene 0, placed row-major
+    g = int(np.sqrt(len(ds)))
+    assert np.array_equal(back.scene_ids, np.zeros(len(ds), dtype=np.int64))
+    assert np.array_equal(back.rows * g + back.cols, np.arange(len(ds)))
+
+
+def test_legacy_file_truncated(tmp_path):
+    ds = make_dataset(n_scenes=1, m=8)
+    path = os.path.join(tmp_path, "t1.bin")
+    write_legacy_dataset(path, ds)
+    data = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-1])
+    with pytest.raises(DataError):
+        read_dataset(path)
 
 
 def test_dataset_file_bad_magic(tmp_path):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from canclab import (
     sweep,
 )
 from canclab.config import derive_train_seeds, parse_config_text
-from canclab.harness import parse_grid, resolve_out_dir
+from canclab.harness import parse_grid, prepare_data, resolve_out_dir
 
 TINY = """
 [data]
@@ -262,6 +263,39 @@ def test_gen_data_roundtrip(tmp_path):
     assert full.clean_labels is None
     assert len(full) == 6 * (128 // 16) ** 2
     assert json.loads((tmp_path / "manifest.json").read_text())["m"] == 16
+
+
+def file_source_ini(path):
+    return TINY.replace("[data]\n", f"[data]\nsource = file\npath = {path}\n", 1)
+
+
+def test_file_source_from_gen_data_matches_synthetic(tmp_path):
+    cfg = tiny_cfg()
+    gen_data(cfg, out_dir=str(tmp_path / "d"))
+    full = str(tmp_path / "d" / "full.bin")
+    from_file = replace(cfg, data=replace(cfg.data, source="file", path=full))
+    for syn, got in zip(prepare_data(cfg), prepare_data(from_file)):
+        assert len(got) == len(syn)
+        for name in ("scene_ids", "rows", "cols", "labels"):
+            assert np.array_equal(getattr(got, name), getattr(syn, name)), name
+        assert (got.clean_labels is None) == (syn.clean_labels is None)
+        if syn.clean_labels is not None:
+            assert np.array_equal(got.clean_labels, syn.clean_labels)
+        assert np.array_equal(got.patches, syn.patches.astype(np.float32))
+
+    cfg_path = tmp_path / "from_file.ini"
+    cfg_path.write_text(file_source_ini(full))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_file_source_rejects_file_with_noise(tmp_path):
+    gen_data(tiny_cfg(), out_dir=str(tmp_path / "d"))
+    cfg_path = tmp_path / "from_train.ini"
+    cfg_path.write_text(file_source_ini(tmp_path / "d" / "train.bin"))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "full.bin" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

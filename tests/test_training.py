@@ -15,7 +15,6 @@ from canclab import (
     NumericError,
     TrainConfig,
     canc_iteration,
-    coteaching_iteration,
     flip_labels,
     init_network,
     parse_layers,
@@ -26,6 +25,8 @@ from canclab import (
     sgd_step,
     train,
 )
+from canclab import training
+from oracles import coteaching_iteration
 
 SPEC = NetworkSpec(
     input_size=8, channels=1, layers=parse_layers("conv(3,3,2) lrelu(0.1) dense(27,2)")
@@ -231,7 +232,7 @@ def test_canc_s_zero_bitwise_equals_coteaching_iteration():
     m2 = init_network(replace(SPEC, seed=2))
     batch = rand_batch(n=10, seed=5)
     a1, a2, _ = canc_iteration(m1, m2, batch, r=0.7, s=0.0, lr=0.3)
-    b1, b2, _ = coteaching_iteration(m1, m2, batch, r=0.7, lr=0.3)
+    b1, b2, _ = coteaching_iteration(m1, m2, batch, r=0.7, s=0.0, lr=0.3)
     assert params_equal(a1, b1) and params_equal(a2, b2)
 
 
@@ -242,7 +243,7 @@ def test_cross_update_direction():
     batch = rand_batch(n=10, seed=6)
     losses_1 = per_sample_loss(m1, batch)
     losses_2 = per_sample_loss(m2, batch)
-    new1, new2, _ = coteaching_iteration(m1, m2, batch, r=0.5, lr=0.1)
+    new1, new2, _ = coteaching_iteration(m1, m2, batch, r=0.5, s=0.0, lr=0.1)
 
     sel2 = select_clean(losses_2, 0.5)
     expect1 = sgd_step(m1, Batch(batch.x[sel2], batch.y[sel2]), 0.1)
@@ -325,9 +326,11 @@ def test_train_shuffle_seed_changes_trajectory():
     assert repr(a.records) != repr(b.records)
 
 
-def test_train_canc_s_zero_bitwise_equals_coteaching():
+def test_train_canc_s_zero_bitwise_equals_coteaching(monkeypatch):
     ds = toy_dataset(n=48, seed=3, noisy=True)
     a = train(ds, ds, SPEC, base_config(algo="canc", swap_rate=0.0))
+    # co-teaching runs the independent oracle step, not canc_iteration
+    monkeypatch.setattr(training, "canc_iteration", coteaching_iteration)
     b = train(ds, ds, SPEC, base_config(algo="coteaching", swap_rate=0.0))
     assert repr(a.records) == repr(b.records)
     for na, nb in zip(a.final_networks, b.final_networks):
