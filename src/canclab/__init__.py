@@ -8,6 +8,8 @@ confusion metrics and per-scene smoothed IoU. Everything is seeded and
 bitwise reproducible.
 """
 
+from types import ModuleType as _ModuleType
+
 from .version import __version__
 from .errors import CancLabError, ConfigError, DataError, NumericError
 from .data import (
@@ -62,67 +64,9 @@ from .training import (
 from .config import DataConfig, ExperimentConfig, NoiseConfig, OutputConfig, load_config
 from .harness import RunReport, compare_runs, gen_data, load_report, run_experiment, sweep
 
-__all__ = [
-    "__version__",
-    "CancLabError",
-    "ConfigError",
-    "DataError",
-    "NumericError",
-    "Scene",
-    "SceneGenParams",
-    "MaskDataset",
-    "generate_scene",
-    "tile_scene",
-    "label_mask",
-    "build_mask_dataset",
-    "split_dataset",
-    "write_dataset",
-    "read_dataset",
-    "NoiseTransition",
-    "symmetric_matrix",
-    "antisymmetric_matrix",
-    "make_transition",
-    "apply_noise",
-    "inject",
-    "Conv",
-    "Dense",
-    "LeakyRelu",
-    "NetworkSpec",
-    "Network",
-    "Batch",
-    "parse_layers",
-    "init_network",
-    "per_sample_loss",
-    "predict",
-    "sgd_step",
-    "loss_and_gradients",
-    "swap_logits",
-    "ConfusionCounts",
-    "PRF1",
-    "confusion",
-    "prf1",
-    "sp_iou",
-    "scene_sp_iou",
-    "TrainConfig",
-    "EpochRecord",
-    "TrainResult",
-    "remember_rate",
-    "select_clean",
-    "select_swap",
-    "flip_labels",
-    "canc_iteration",
-    "train",
-    "predict_dataset",
-    "dataset_metrics",
-    "DataConfig",
-    "NoiseConfig",
-    "OutputConfig",
-    "ExperimentConfig",
-    "load_config",
-    "RunReport",
-    "run_experiment",
-    "sweep",
-    "compare_runs",
-    "load_report",
-    "gen_data",
+# every public name imported above (not the submodules), plus the version
+__all__ = ["__version__"] + [
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
 ]

@@ -1,33 +1,34 @@
 """Experiment configuration: a sectioned INI file parsed into typed configs.
 
-Sections and keys (defaults in parentheses):
+Each section's keys are the field names of its config class ([data]
+DataConfig, [noise] NoiseConfig, [train] TrainConfig, [output]
+OutputConfig), and a key left out keeps the field's default. A value is read
+as the type of that default: bool, int, float, str, or a comma-separated
+tuple of the same length and element types. Four keys name no field of
+their section's class:
 
-  [data]    source (synthetic) | file; path; n_scenes (20); scene_size (512);
-            channels (1); m (32); tau_label (0.01); split (0.7,0.15,0.15);
-            seed (0); building_count (8,24); building_side (16,64);
-            building_intensity (0.55,0.95); background_intensity (0.05,0.45);
-            pixel_noise (0.04)
-  [noise]   type (none) | symmetric | antisymmetric; epsilon (0.0); seed (1);
-            noise_modelsel (false)
-  [train]   algo (canc); lr (0.05); t_max (30); t_k (10); batch_size (64);
-            n_max (0 = one pass); tau_f (0.45); swap_rate (0.05);
-            persist_swaps (false); ablation_s_equals_1_minus_r (false);
-            seed (2); network (two convs + dense for 32x32 inputs)
-  [output]  dir (run); formats (csv,json)
+  [noise] type                          sets NoiseConfig.kind
+  [train] seed                          sets ExperimentConfig.train_seed
+  [train] network                       sets ExperimentConfig.network
+  [train] ablation_s_equals_1_minus_r   true sets TrainConfig.swap_mode
+                                        to one_minus_r
 
-All randomness flows from the three named seeds (data, noise, train); the
-train seed fans out into shuffle and two init seeds. Unknown sections or
-keys are configuration errors, not warnings.
+The derived fields shuffle_seed, init_seed_1, init_seed_2 and swap_mode
+are not keys: all randomness flows from the three named seeds (data, noise,
+train), and the train seed fans out into shuffle and two init seeds. A
+relative [data] path resolves against the config file's directory. Unknown
+sections or keys are configuration errors, not warnings.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .data import SceneGenParams
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -39,23 +40,7 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "derive_train_seeds",
-    "DEFAULT_NETWORK",
 ]
-
-DEFAULT_NETWORK = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
-
-DATA_KEYS = {
-    "source", "path", "n_scenes", "scene_size", "channels", "m", "tau_label",
-    "split", "seed", "building_count", "building_side", "building_intensity",
-    "background_intensity", "pixel_noise",
-}
-NOISE_KEYS = {"type", "epsilon", "seed", "noise_modelsel"}
-TRAIN_KEYS = {
-    "algo", "lr", "t_max", "t_k", "batch_size", "n_max", "tau_f", "swap_rate",
-    "persist_swaps", "ablation_s_equals_1_minus_r", "seed", "network",
-}
-OUTPUT_KEYS = {"dir", "formats"}
-SECTIONS = {"data": DATA_KEYS, "noise": NOISE_KEYS, "train": TRAIN_KEYS, "output": OUTPUT_KEYS}
 
 
 @dataclass(frozen=True)
@@ -63,17 +48,17 @@ class DataConfig:
     source: str = "synthetic"
     path: str = ""
     n_scenes: int = 20
-    scene_size: int = 512
-    channels: int = 1
+    scene_size: int = SceneGenParams.size
+    channels: int = SceneGenParams.channels
     m: int = 32
     tau_label: float = 0.01
     split: tuple = (0.7, 0.15, 0.15)
     seed: int = 0
-    building_count: tuple = (8, 24)
-    building_side: tuple = (16, 64)
-    building_intensity: tuple = (0.55, 0.95)
-    background_intensity: tuple = (0.05, 0.45)
-    pixel_noise: float = 0.04
+    building_count: tuple = SceneGenParams.building_count
+    building_side: tuple = SceneGenParams.building_side
+    building_intensity: tuple = SceneGenParams.building_intensity
+    background_intensity: tuple = SceneGenParams.background_intensity
+    pixel_noise: float = SceneGenParams.pixel_noise
 
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
@@ -101,12 +86,6 @@ class NoiseConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "run"
-    formats: tuple = ("csv", "json")
-
-    def __post_init__(self):
-        bad = set(self.formats) - {"csv", "json"}
-        if bad or not self.formats:
-            raise ConfigError(f"formats must be a subset of csv,json, got {self.formats}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +94,7 @@ class ExperimentConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     train_seed: int = 2
-    network: str = DEFAULT_NETWORK
+    network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
@@ -125,61 +104,53 @@ def derive_train_seeds(train_seed: int) -> tuple:
     return tuple(int(x) for x in state)
 
 
-def _pair(text: str, name: str, conv=float) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{name} must be two comma-separated values, got {text!r}")
+_DEFAULT = ExperimentConfig()
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_SEED_FIELDS = ("shuffle_seed", "init_seed_1", "init_seed_2")
+# fields no key of their own name sets: kind is [noise] type, the others
+# are derived from [train] seed and ablation_s_equals_1_minus_r
+_NOT_KEYS = ("kind", "swap_mode") + _SEED_FIELDS
+# the keys that name no field of their section's class, with their defaults
+_EXTRA_KEYS = {
+    "noise": {"type": _DEFAULT.noise.kind},
+    "train": {
+        "seed": _DEFAULT.train_seed,
+        "network": _DEFAULT.network,
+        "ablation_s_equals_1_minus_r": False,
+    },
+}
+
+
+def _keys(section: str) -> dict:
+    """Key -> default for one section, a field of ExperimentConfig that
+    holds a config class."""
+    obj = getattr(_DEFAULT, section)
+    keys = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in _NOT_KEYS}
+    return {**keys, **_EXTRA_KEYS.get(section, {})}
+
+
+_KEYS = {
+    f.name: _keys(f.name)
+    for f in fields(ExperimentConfig)
+    if is_dataclass(getattr(_DEFAULT, f.name))
+}
+
+
+def _convert(text: str, default, where: str):
+    """Read text as the type of default."""
     try:
-        return tuple(conv(p) for p in parts)
+        if isinstance(default, bool):
+            if text.lower() not in _BOOLEANS:
+                raise ValueError(f"not a boolean: {text!r}")
+            return _BOOLEANS[text.lower()]
+        if isinstance(default, tuple):
+            parts = text.split(",")
+            if len(parts) != len(default):
+                raise ValueError(f"needs {len(default)} comma-separated values, got {text!r}")
+            return tuple(type(d)(p) for d, p in zip(default, parts))
+        return type(default)(text)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _split_triple(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"split must be three comma-separated fractions, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"split: {exc}") from exc
-
-
-class _Section:
-    """Typed accessors over one INI section with error context."""
-
-    def __init__(self, cp, name):
-        self.name = name
-        self.raw = dict(cp[name]) if cp.has_section(name) else {}
-
-    def get(self, key, default):
-        return self.raw.get(key, default)
-
-    def _convert(self, key, default, conv):
-        if key not in self.raw:
-            return default
-        try:
-            return conv(self.raw[key])
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
-
-    def get_int(self, key, default):
-        return self._convert(key, default, int)
-
-    def get_float(self, key, default):
-        return self._convert(key, default, float)
-
-    def get_bool(self, key, default):
-        if key not in self.raw:
-            return default
-        text = self.raw[key].strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: not a boolean: {text!r}")
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -189,77 +160,42 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
 
+    values = {}
     for section in cp.sections():
-        if section not in SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - SECTIONS[section]
+        unknown = set(cp[section]) - set(_KEYS[section])
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        values[section] = {
+            key: _convert(cp[section][key], _KEYS[section][key], f"[{section}] {key}")
+            for key in cp[section]
+        }
 
-    d = _Section(cp, "data")
-    path = d.get("path", "")
-    if path and not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    data = DataConfig(
-        source=d.get("source", "synthetic"),
-        path=path,
-        n_scenes=d.get_int("n_scenes", 20),
-        scene_size=d.get_int("scene_size", 512),
-        channels=d.get_int("channels", 1),
-        m=d.get_int("m", 32),
-        tau_label=d.get_float("tau_label", 0.01),
-        split=_split_triple(d.get("split", "0.7,0.15,0.15")),
-        seed=d.get_int("seed", 0),
-        building_count=_pair(d.get("building_count", "8,24"), "building_count", int),
-        building_side=_pair(d.get("building_side", "16,64"), "building_side", int),
-        building_intensity=_pair(d.get("building_intensity", "0.55,0.95"), "building_intensity"),
-        background_intensity=_pair(
-            d.get("background_intensity", "0.05,0.45"), "background_intensity"
-        ),
-        pixel_noise=d.get_float("pixel_noise", 0.04),
-    )
-    if data.source == "file" and not os.path.isfile(data.path):
-        raise ConfigError(f"[data] path does not exist: {data.path}")
+    data = values.get("data", {})
+    if data.get("path") and not os.path.isabs(data["path"]):
+        data["path"] = os.path.join(base_dir, data["path"])
+    noise = values.get("noise", {})
+    if "type" in noise:
+        noise["kind"] = noise.pop("type")
+    train = values.get("train", {})
+    train_seed = train.pop("seed", _DEFAULT.train_seed)
+    network = train.pop("network", _DEFAULT.network)
+    if train.pop("ablation_s_equals_1_minus_r", False):
+        train["swap_mode"] = "one_minus_r"
+    train.update(zip(_SEED_FIELDS, derive_train_seeds(train_seed)))
 
-    nz = _Section(cp, "noise")
-    noise = NoiseConfig(
-        kind=nz.get("type", "none"),
-        epsilon=nz.get_float("epsilon", 0.0),
-        seed=nz.get_int("seed", 1),
-        noise_modelsel=nz.get_bool("noise_modelsel", False),
-    )
-
-    tr = _Section(cp, "train")
-    train_seed = tr.get_int("seed", 2)
-    shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(train_seed)
-    train = TrainConfig(
-        algo=tr.get("algo", "canc"),
-        lr=tr.get_float("lr", 0.05),
-        t_max=tr.get_int("t_max", 30),
-        t_k=tr.get_int("t_k", 10),
-        batch_size=tr.get_int("batch_size", 64),
-        n_max=tr.get_int("n_max", 0),
-        tau_f=tr.get_float("tau_f", 0.45),
-        swap_rate=tr.get_float("swap_rate", 0.05),
-        swap_mode="one_minus_r" if tr.get_bool("ablation_s_equals_1_minus_r", False) else "fixed",
-        persist_swaps=tr.get_bool("persist_swaps", False),
-        shuffle_seed=shuffle_seed,
-        init_seed_1=init_seed_1,
-        init_seed_2=init_seed_2,
-    )
-
-    out = _Section(cp, "output")
-    formats = tuple(p.strip() for p in out.get("formats", "csv,json").split(",") if p.strip())
-    output = OutputConfig(dir=out.get("dir", "run"), formats=formats)
-
-    return ExperimentConfig(
-        data=data,
-        noise=noise,
-        train=train,
+    cfg = ExperimentConfig(
+        data=DataConfig(**data),
+        noise=NoiseConfig(**noise),
+        train=TrainConfig(**train),
         train_seed=train_seed,
-        network=tr.get("network", DEFAULT_NETWORK),
-        output=output,
+        network=network,
+        output=OutputConfig(**values.get("output", {})),
     )
+    if cfg.data.source == "file" and not os.path.isfile(cfg.data.path):
+        raise ConfigError(f"[data] path does not exist: {cfg.data.path}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -207,9 +207,9 @@ def build_mask_dataset(scenes, m: int, tau_label: float) -> MaskDataset:
     for scene in scenes:
         patches, gt_patches, positions = tile_scene(scene, m)
         all_patches.append(patches)
-        labels.append(
-            np.array([label_mask(gp, tau_label) for gp in gt_patches], dtype=np.int64)
-        )
+        # label_mask's rule, for every mask of the scene at once
+        fraction = gt_patches.reshape(len(gt_patches), -1).sum(axis=1) / (m * m)
+        labels.append((fraction >= tau_label).astype(np.int64))
         sids.append(np.full(len(patches), scene.scene_id, dtype=np.int64))
         rows.append(positions[:, 0].astype(np.int64))
         cols.append(positions[:, 1].astype(np.int64))

@@ -18,13 +18,12 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .config import DataConfig, ExperimentConfig, OutputConfig
+from .config import DataConfig, ExperimentConfig
 from .data import (
-    MaskDataset,
     SceneGenParams,
     build_mask_dataset,
     generate_scene,
@@ -98,16 +97,10 @@ def _write_atomic(path: str, data) -> None:
 
 
 def _scene_params(d: DataConfig) -> SceneGenParams:
-    return SceneGenParams(
-        size=d.scene_size,
-        channels=d.channels,
-        building_count=d.building_count,
-        building_side=d.building_side,
-        building_intensity=d.building_intensity,
-        background_intensity=d.background_intensity,
-        pixel_noise=d.pixel_noise,
-        seed=d.seed,
-    )
+    """The generator's knobs share DataConfig's field names, except that
+    SceneGenParams.size is scene_size."""
+    knobs = {f.name: getattr(d, f.name) for f in fields(SceneGenParams) if f.name != "size"}
+    return SceneGenParams(size=d.scene_size, **knobs)
 
 
 def _build_split_noise(cfg: ExperimentConfig):
@@ -229,13 +222,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     if train_ds.clean_labels is not None:
         counts["train_flipped_fraction"] = float(np.mean(train_ds.labels != train_ds.clean_labels))
 
-    files = {}
-    if "csv" in cfg.output.formats:
-        files["epochs_csv"] = "epochs.csv"
-        _write_atomic(os.path.join(out, "epochs.csv"), _epochs_csv(result))
-    if "json" in cfg.output.formats:
-        files["sp_iou_json"] = "sp_iou.json"
-        _write_atomic(os.path.join(out, "sp_iou.json"), _json_dumps(ious))
+    files = {"epochs_csv": "epochs.csv", "sp_iou_json": "sp_iou.json", "summary_json": "summary.json"}
+    _write_atomic(os.path.join(out, files["epochs_csv"]), _epochs_csv(result))
+    _write_atomic(os.path.join(out, files["sp_iou_json"]), _json_dumps(ious))
 
     summary = {
         "version": __version__,
@@ -252,9 +241,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
         "final_metrics": final,
         "files": files,
     }
-    if "json" in cfg.output.formats:
-        files["summary_json"] = "summary.json"
-        _write_atomic(os.path.join(out, "summary.json"), _json_dumps(summary))
+    _write_atomic(os.path.join(out, files["summary_json"]), _json_dumps(summary))
 
     return RunReport(
         name=summary["name"],

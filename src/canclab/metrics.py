@@ -39,11 +39,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
 
 @dataclass(frozen=True)
 class PRF1:
@@ -90,14 +85,12 @@ def prf1(c: ConfusionCounts) -> PRF1:
     return PRF1(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
-def sp_iou(y_true, y_pred, smooth: float = 1.0, literal: bool = False) -> float:
+def sp_iou(y_true, y_pred, smooth: float = 1.0) -> float:
     """Smoothed IoU over one scene's grid of mask labels.
 
     intersection counts cells positive in both vectors; union counts cells
     positive in either. The smooth constant keeps all-negative scenes at
-    exactly 1 instead of 0/0. literal=True switches the numerator to the
-    raw agreement count (both classes), kept only for comparison; it can
-    leave the IoU range.
+    exactly 1 instead of 0/0.
     """
     yt = np.asarray(y_true, dtype=np.int64)
     yp = np.asarray(y_pred, dtype=np.int64)
@@ -105,10 +98,7 @@ def sp_iou(y_true, y_pred, smooth: float = 1.0, literal: bool = False) -> float:
         raise ValueError(f"label vectors must match, got {yt.shape} vs {yp.shape}")
     pos_t = int(np.sum(yt == 1))
     pos_p = int(np.sum(yp == 1))
-    if literal:
-        intersection = int(np.sum(yt == yp))
-    else:
-        intersection = int(np.sum((yt == 1) & (yp == 1)))
+    intersection = int(np.sum((yt == 1) & (yp == 1)))
     union = pos_t + pos_p - intersection
     return float((intersection + smooth) / (union + smooth))
 

@@ -182,9 +182,6 @@ class Network:
     spec: NetworkSpec
     params: tuple  # one (W, b) pair per parametric layer, in layer order
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.params)
-
 
 @dataclass(frozen=True, eq=False)
 class Batch:
@@ -248,7 +245,7 @@ def _check_batch(net: Network, batch: Batch):
         raise ValueError(f"batch shape {batch.x.shape[1:]} does not match spec input {expect}")
 
 
-def _forward(net: Network, x: np.ndarray, check: bool = True):
+def _forward(net: Network, x: np.ndarray):
     """Run the network, keeping per-layer caches for backprop.
 
     Returns (logits, caches). Cache entries hold whatever the matching
@@ -277,7 +274,7 @@ def _forward(net: Network, x: np.ndarray, check: bool = True):
         else:  # LeakyRelu
             caches.append(("lrelu", out, layer))
             out = np.where(out > 0, out, layer.slope * out)
-        if check and not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations after layer {i}", layer=i)
     return out, caches
 

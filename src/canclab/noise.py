@@ -50,10 +50,6 @@ class NoiseTransition:
     def n_classes(self) -> int:
         return self.matrix.shape[0]
 
-    def flip_probability(self, true_class: int) -> float:
-        """Probability a label of this class gets corrupted."""
-        return 1.0 - float(self.matrix[true_class, true_class])
-
 
 def symmetric_matrix(n_classes: int, epsilon: float) -> NoiseTransition:
     """Every class keeps its label with prob 1-epsilon and spreads epsilon

@@ -135,10 +135,6 @@ class TrainResult:
     final_networks: tuple
     records: tuple
 
-    @property
-    def final_modelsel_accuracy(self) -> float:
-        return self.records[-1].modelsel_metrics.accuracy
-
 
 def remember_rate(t: int, t_k: int, tau_f: float) -> float:
     """R(t) = 1 - min(t/t_k * tau_f, tau_f): 1 at t=0, floor 1-tau_f from t_k on."""

@@ -129,6 +129,24 @@ def test_labels_match_bruteforce_over_dataset():
     assert np.array_equal(ds.labels, expect)
 
 
+def test_dataset_labels_match_label_mask_on_a_pixel_count_boundary():
+    # tau is the building-pixel fraction of a partly covered mask, so the
+    # masks with exactly that count sit on the threshold; m = 12 makes the
+    # fraction count/144, which is inexact in binary
+    m = 12
+    scene = generate_scene(small_params(size=96, seed=3))
+    _, gt_patches, _ = tile_scene(scene, m)
+    counts = gt_patches.reshape(len(gt_patches), -1).sum(axis=1)
+    partial = np.sort(counts[(counts > 0) & (counts < m * m)])
+    boundary = int(partial[len(partial) // 2])
+    tau = boundary / (m * m)
+    ds = build_mask_dataset([scene], m=m, tau_label=tau)
+    assert ds.labels.tolist() == [label_mask(gp, tau) for gp in gt_patches]
+    assert ds.labels[counts == boundary].all()
+    assert not ds.labels[counts < boundary].any()
+    assert (counts < boundary).any() and (counts > boundary).any()
+
+
 def test_build_mask_dataset_orders_scene_major():
     scenes = [generate_scene(small_params(), scene_id=i) for i in range(3)]
     ds = build_mask_dataset(scenes, m=16, tau_label=0.01)

@@ -5,14 +5,20 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from canclab import (
     ConfigError,
+    DataConfig,
     DataError,
+    ExperimentConfig,
+    NoiseConfig,
+    OutputConfig,
+    SceneGenParams,
+    TrainConfig,
     compare_runs,
     gen_data,
     load_config,
@@ -22,7 +28,7 @@ from canclab import (
     sweep,
 )
 from canclab.config import derive_train_seeds, parse_config_text
-from canclab.harness import parse_grid, prepare_data, resolve_out_dir
+from canclab.harness import _scene_params, parse_grid, prepare_data, resolve_out_dir
 
 TINY = """
 [data]
@@ -68,7 +74,104 @@ def test_config_defaults():
     assert cfg.data.m == 32
     assert cfg.noise.kind == "none"
     assert cfg.train.algo == "canc"
-    assert cfg.output.formats == ("csv", "json")
+
+
+def test_config_empty_text_is_the_dataclass_defaults():
+    seeds = derive_train_seeds(ExperimentConfig().train_seed)
+    derived = dict(zip(("shuffle_seed", "init_seed_1", "init_seed_2"), seeds))
+    cfg = parse_config_text("")
+    assert cfg == replace(ExperimentConfig(), train=replace(TrainConfig(), **derived))
+    # the scene knobs default to the generator's own defaults
+    assert _scene_params(cfg.data) == SceneGenParams()
+
+
+def test_config_every_key_set_to_a_non_default_value(tmp_path):
+    (tmp_path / "masks.bin").write_bytes(b"")
+    text = """
+[data]
+source = file
+path = masks.bin
+n_scenes = 3
+scene_size = 96
+channels = 3
+m = 12
+tau_label = 0.2
+split = 0.5, 0.3, 0.2
+seed = 4
+building_count = 1,5
+building_side = 6,30
+building_intensity = 0.6,0.8
+background_intensity = 0.1,0.3
+pixel_noise = 0.02
+
+[noise]
+type = antisymmetric
+epsilon = 0.3
+seed = 6
+noise_modelsel = true
+
+[train]
+algo = coteaching
+lr = 0.1
+t_max = 5
+t_k = 4
+batch_size = 16
+n_max = 9
+tau_f = 0.3
+swap_rate = 0.2
+persist_swaps = yes
+ablation_s_equals_1_minus_r = on
+seed = 8
+network = conv(4,3,1) lrelu(0.2) dense(400,2)
+
+[output]
+dir = elsewhere
+"""
+    shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(8)
+    expected = ExperimentConfig(
+        data=DataConfig(
+            source="file", path=os.path.join(str(tmp_path), "masks.bin"), n_scenes=3,
+            scene_size=96, channels=3, m=12, tau_label=0.2, split=(0.5, 0.3, 0.2), seed=4,
+            building_count=(1, 5), building_side=(6, 30), building_intensity=(0.6, 0.8),
+            background_intensity=(0.1, 0.3), pixel_noise=0.02,
+        ),
+        noise=NoiseConfig(kind="antisymmetric", epsilon=0.3, seed=6, noise_modelsel=True),
+        train=TrainConfig(
+            algo="coteaching", lr=0.1, t_max=5, t_k=4, batch_size=16, n_max=9, tau_f=0.3,
+            swap_rate=0.2, swap_mode="one_minus_r", persist_swaps=True,
+            shuffle_seed=shuffle_seed, init_seed_1=init_seed_1, init_seed_2=init_seed_2,
+        ),
+        train_seed=8,
+        network="conv(4,3,1) lrelu(0.2) dense(400,2)",
+        output=OutputConfig(dir="elsewhere"),
+    )
+    cfg = parse_config_text(text, base_dir=str(tmp_path))
+    assert cfg == expected
+    default = ExperimentConfig()
+    for section in ("data", "noise", "train", "output"):
+        for f in fields(getattr(default, section)):
+            got = getattr(getattr(cfg, section), f.name)
+            assert got != getattr(getattr(default, section), f.name), (section, f.name)
+            assert type(got) is type(getattr(getattr(expected, section), f.name)), (section, f.name)
+    assert cfg.train_seed != default.train_seed and cfg.network != default.network
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[train]\nshuffle_seed = 3\n",
+        "[train]\nswap_mode = one_minus_r\n",
+        "[noise]\nkind = symmetric\n",
+        "[output]\nformats = csv,json\n",
+    ],
+    ids=["shuffle_seed", "swap_mode", "kind", "formats"],
+)
+def test_cli_rejects_field_names_that_are_not_keys(tmp_path, text):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text)
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2
+    assert "unknown keys" in proc.stderr
 
 
 def test_config_unknown_section_and_key_rejected():
@@ -172,13 +275,6 @@ def test_run_clean_vanilla_beats_coin_flip(tmp_path):
     cfg = parse_config_text(text)
     report = run_experiment(cfg, out_dir=str(tmp_path))
     assert report.final_metrics["eval"]["accuracy"] > 0.5
-
-
-def test_run_respects_formats(tmp_path):
-    cfg = parse_config_text(TINY + "formats = csv\n")
-    run_experiment(cfg, out_dir=str(tmp_path))
-    assert (tmp_path / "epochs.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -128,19 +128,6 @@ def test_sp_iou_custom_smooth():
     assert sp_iou([1, 0], [0, 1], smooth=2.0) == 2.0 / 4.0
 
 
-def test_sp_iou_literal_reading_counts_agreement():
-    # the agreement count substitutes for the intersection everywhere,
-    # including inside the union formula
-    y = np.array([1, 1, 0, 0])
-    p = np.array([1, 0, 1, 0])
-    agree = 2
-    union = 2 + 2 - agree
-    assert sp_iou(y, p, literal=True) == (agree + 1) / (union + 1)
-    # and this is why it is not the default: all-negative vectors push the
-    # "union" negative and the result outside (0, 1]
-    assert sp_iou(np.zeros(3), np.zeros(3), literal=True) == (3 + 1) / (0 + 0 - 3 + 1)
-
-
 def test_scene_sp_iou_groups_by_scene():
     sids = np.array([0, 0, 0, 7, 7, 7])
     yt = np.array([1, 1, 0, 0, 0, 0])
