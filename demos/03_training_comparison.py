@@ -18,7 +18,6 @@ from canclab import (
     parse_layers,
     train,
 )
-from canclab.config import derive_train_seeds
 from canclab.data import split_dataset
 
 scenes = [
@@ -35,13 +34,11 @@ print(f"train {tr.labels.size} masks ({np.mean(tr.labels != tr.clean_labels):.3f
 
 spec = NetworkSpec(input_size=16, channels=1,
                    layers=parse_layers("conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)"))
-shuffle_seed, init_1, init_2 = derive_train_seeds(2)
 
 for algo in ("vanilla", "coteaching", "canc"):
     cfg = TrainConfig(
         algo=algo, lr=0.05, t_max=30, t_k=8, batch_size=32,
-        tau_f=0.35, swap_rate=0.1,
-        shuffle_seed=shuffle_seed, init_seed_1=init_1, init_seed_2=init_2,
+        tau_f=0.35, swap_rate=0.1, seed=2,
     )
     res = train(tr, ms, spec, cfg)
     last = res.records[-1]

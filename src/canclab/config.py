@@ -4,20 +4,19 @@ Each section's keys are the field names of its config class ([data]
 DataConfig, [noise] NoiseConfig, [train] TrainConfig, [output]
 OutputConfig), and a key left out keeps the field's default. A value is read
 as the type of that default: bool, int, float, str, or a comma-separated
-tuple of the same length and element types. Four keys name no field of
+tuple of the same length and element types. Three keys name no field of
 their section's class:
 
   [noise] type                          sets NoiseConfig.kind
-  [train] seed                          sets ExperimentConfig.train_seed
   [train] network                       sets ExperimentConfig.network
   [train] ablation_s_equals_1_minus_r   true sets TrainConfig.swap_mode
                                         to one_minus_r
 
-The derived fields shuffle_seed, init_seed_1, init_seed_2 and swap_mode
-are not keys: all randomness flows from the three named seeds (data, noise,
-train), and the train seed fans out into shuffle and two init seeds. A
-relative [data] path resolves against the config file's directory. Unknown
-sections or keys are configuration errors, not warnings.
+The fields kind and swap_mode are not keys. All randomness flows from the
+three seeds (data, noise, train); train() fans [train] seed out into a
+shuffle seed and two init seeds. A relative [data] path resolves against
+the config file's directory. Unknown sections or keys are configuration
+errors, not warnings.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
-
-import numpy as np
 
 from .data import SceneGenParams
 from .errors import ConfigError
@@ -39,7 +36,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config_text",
-    "derive_train_seeds",
 ]
 
 
@@ -93,31 +89,19 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    train_seed: int = 2
     network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def derive_train_seeds(train_seed: int) -> tuple:
-    """Fan one train seed out into (shuffle, init1, init2) seeds."""
-    state = np.random.SeedSequence(train_seed).generate_state(3)
-    return tuple(int(x) for x in state)
-
-
 _DEFAULT = ExperimentConfig()
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
-_SEED_FIELDS = ("shuffle_seed", "init_seed_1", "init_seed_2")
-# fields no key of their own name sets: kind is [noise] type, the others
-# are derived from [train] seed and ablation_s_equals_1_minus_r
-_NOT_KEYS = ("kind", "swap_mode") + _SEED_FIELDS
+# fields no key of their own name sets: kind is [noise] type, swap_mode
+# is derived from [train] ablation_s_equals_1_minus_r
+_NOT_KEYS = ("kind", "swap_mode")
 # the keys that name no field of their section's class, with their defaults
 _EXTRA_KEYS = {
     "noise": {"type": _DEFAULT.noise.kind},
-    "train": {
-        "seed": _DEFAULT.train_seed,
-        "network": _DEFAULT.network,
-        "ablation_s_equals_1_minus_r": False,
-    },
+    "train": {"network": _DEFAULT.network, "ablation_s_equals_1_minus_r": False},
 }
 
 
@@ -179,17 +163,14 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     if "type" in noise:
         noise["kind"] = noise.pop("type")
     train = values.get("train", {})
-    train_seed = train.pop("seed", _DEFAULT.train_seed)
     network = train.pop("network", _DEFAULT.network)
     if train.pop("ablation_s_equals_1_minus_r", False):
         train["swap_mode"] = "one_minus_r"
-    train.update(zip(_SEED_FIELDS, derive_train_seeds(train_seed)))
 
     cfg = ExperimentConfig(
         data=DataConfig(**data),
         noise=NoiseConfig(**noise),
         train=TrainConfig(**train),
-        train_seed=train_seed,
         network=network,
         output=OutputConfig(**values.get("output", {})),
     )

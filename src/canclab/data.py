@@ -8,6 +8,7 @@ rectangular buildings on a darker background, plus pixel noise.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -160,8 +161,6 @@ class MaskDataset:
     scene_ids: np.ndarray  # (N,) int64
     rows: np.ndarray  # (N,) int64
     cols: np.ndarray  # (N,) int64
-    m: int
-    tau_label: float
     clean_labels: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -171,6 +170,10 @@ class MaskDataset:
 
     def __len__(self):
         return len(self.labels)
+
+    @property
+    def m(self) -> int:
+        return self.patches.shape[1]
 
     @property
     def channels(self) -> int:
@@ -185,8 +188,6 @@ class MaskDataset:
             scene_ids=self.scene_ids[idx],
             rows=self.rows[idx],
             cols=self.cols[idx],
-            m=self.m,
-            tau_label=self.tau_label,
             clean_labels=clean,
         )
 
@@ -221,8 +222,6 @@ def build_mask_dataset(scenes, m: int, tau_label: float) -> MaskDataset:
         scene_ids=np.concatenate(sids),
         rows=np.concatenate(rows),
         cols=np.concatenate(cols),
-        m=m,
-        tau_label=tau_label,
     )
 
 
@@ -269,31 +268,24 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
 # flat binary dataset files
 #
 # Header (little-endian): magic "CANC", version u32, m u32, channels u32,
-# count u32, then count packed records. Version 3 records: noisy label u8,
-# clean label u8 (NO_LABEL when the dataset has none), scene id, row and
-# col as int32, and the m*m*C float32 patch (row-major). Versions 1 and 2
-# are still read: v1 records are a label u8 plus the patch, v2 records a
-# noisy u8, a clean u8 and the patch; neither keeps scene ids or positions.
+# count u32, then count packed records: noisy label u8, clean label u8
+# (NO_LABEL when the dataset has none), scene id, row and col as int32, and
+# the m*m*C float32 patch (row-major).
 
 VERSION = 3
 NO_LABEL = 255
 
 
-# the per-version record layout, without the trailing patch field
-_RECORD_FIELDS = {
-    1: [("label", "u1")],
-    2: [("label", "u1"), ("clean", "u1")],
-    3: [("label", "u1"), ("clean", "u1"), ("scene", "<i4"), ("row", "<i4"), ("col", "<i4")],
-}
-
-
-def _record_dtype(version: int, m: int, c: int) -> np.dtype:
-    return np.dtype(_RECORD_FIELDS[version] + [("patch", "<f4", (m, m, c))])
+def _record_dtype(m: int, c: int) -> np.dtype:
+    return np.dtype(
+        [("label", "u1"), ("clean", "u1"), ("scene", "<i4"), ("row", "<i4"), ("col", "<i4"),
+         ("patch", "<f4", (m, m, c))]
+    )
 
 
 def write_dataset(path, ds: MaskDataset):
     m, c, n = ds.m, ds.channels, len(ds)
-    records = np.empty(n, dtype=_record_dtype(VERSION, m, c))
+    records = np.empty(n, dtype=_record_dtype(m, c))
     records["label"] = ds.labels
     records["clean"] = NO_LABEL if ds.clean_labels is None else ds.clean_labels
     records["scene"] = ds.scene_ids
@@ -305,13 +297,10 @@ def write_dataset(path, ds: MaskDataset):
         records.tofile(fh)
 
 
-def read_dataset(path, tau_label: float = 0.01) -> MaskDataset:
-    """Read a dataset file of any supported version back.
-
-    Version 3 files keep each mask's scene id and grid position. Version 1
-    and 2 files keep neither: their masks all read as scene 0, with
-    positions synthesized row-major on a square-ish grid.
-    """
+def read_dataset(path) -> MaskDataset:
+    """Read back a file that write_dataset wrote (version 3), with each
+    mask's scene id and grid position. Any other version, a malformed
+    header or a short file is a DataError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -319,28 +308,25 @@ def read_dataset(path, tau_label: float = 0.01) -> MaskDataset:
         magic, version, m, c, n = _HEADER.unpack(header)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        if version not in _RECORD_FIELDS:
-            raise DataError(f"{path}: unsupported version {version}")
-        records = np.fromfile(fh, dtype=_record_dtype(version, m, c), count=n)
-    if len(records) != n:
-        raise DataError(f"{path}: truncated after record {len(records)} of {n}")
-    names = records.dtype.names
-    clean = records["clean"] if "clean" in names else None
-    if clean is not None and np.all(clean == NO_LABEL):
-        clean = None
-    if "scene" in names:
-        scene_ids, rows, cols = records["scene"], records["row"], records["col"]
-    else:
-        g = max(1, int(np.sqrt(n)))
-        rows, cols = np.divmod(np.arange(n, dtype=np.int64), g)
-        scene_ids = np.zeros(n, dtype=np.int64)
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported version {version}, expected {VERSION}")
+        if m < 1 or c < 1:
+            raise DataError(f"{path}: bad mask shape m={m}, channels={c}")
+        try:
+            dtype = _record_dtype(m, c)
+        except ValueError as exc:
+            raise DataError(f"{path}: mask shape m={m}, channels={c}: {exc}") from exc
+        # checked before reading, so a bad count never sizes an allocation
+        held = (os.fstat(fh.fileno()).st_size - _HEADER.size) // dtype.itemsize
+        if held < n:
+            raise DataError(f"{path}: truncated after record {held} of {n}")
+        records = np.fromfile(fh, dtype=dtype, count=n)
+    clean = records["clean"]
     return MaskDataset(
         patches=records["patch"].astype(np.float64),
         labels=records["label"].astype(np.int64),
-        scene_ids=scene_ids.astype(np.int64),
-        rows=rows.astype(np.int64),
-        cols=cols.astype(np.int64),
-        m=m,
-        tau_label=tau_label,
-        clean_labels=None if clean is None else clean.astype(np.int64),
+        scene_ids=records["scene"].astype(np.int64),
+        rows=records["row"].astype(np.int64),
+        cols=records["col"].astype(np.int64),
+        clean_labels=None if np.all(clean == NO_LABEL) else clean.astype(np.int64),
     )

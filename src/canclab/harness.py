@@ -113,7 +113,7 @@ def _build_split_noise(cfg: ExperimentConfig):
         scenes = [generate_scene(params, scene_id=i) for i in range(d.n_scenes)]
         ds = build_mask_dataset(scenes, d.m, d.tau_label)
     else:
-        ds = read_dataset(d.path, tau_label=d.tau_label)
+        ds = read_dataset(d.path)
         if ds.clean_labels is not None:
             raise ConfigError(
                 f"{d.path} already has noisy labels; a file source must hold the "
@@ -136,21 +136,12 @@ def prepare_data(cfg: ExperimentConfig):
     return _build_split_noise(cfg)[1:]
 
 
-def _net_spec(cfg: ExperimentConfig) -> NetworkSpec:
-    return NetworkSpec(
-        input_size=cfg.data.m,
-        channels=cfg.data.channels,
-        layers=parse_layers(cfg.network),
-    )
-
-
 def _config_echo(cfg: ExperimentConfig) -> dict:
     echo = {
         "data": asdict(cfg.data),
         "noise": asdict(cfg.noise),
         "train": asdict(cfg.train),
         "output": asdict(cfg.output),
-        "train_seed": cfg.train_seed,
         "network": cfg.network,
     }
     echo["noise"]["type"] = echo["noise"].pop("kind")
@@ -196,7 +187,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     os.makedirs(out, exist_ok=True)
 
     train_ds, modelsel_ds, eval_ds = prepare_data(cfg)
-    result = train(train_ds, modelsel_ds, _net_spec(cfg), cfg.train)
+    # the masks say their shape: a file source's may differ from [data] m
+    spec = NetworkSpec(train_ds.m, train_ds.channels, parse_layers(cfg.network))
+    result = train(train_ds, modelsel_ds, spec, cfg.train)
 
     # the best epoch's record already scored the best network on train and
     # modelsel; only the eval split is predicted here

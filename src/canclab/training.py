@@ -38,6 +38,7 @@ __all__ = [
     "flip_labels",
     "canc_iteration",
     "train",
+    "derive_train_seeds",
     "predict_dataset",
     "dataset_metrics",
 ]
@@ -61,9 +62,7 @@ class TrainConfig:
     swap_rate: float = 0.05
     swap_mode: str = "fixed"
     persist_swaps: bool = False
-    shuffle_seed: int = 0
-    init_seed_1: int = 1
-    init_seed_2: int = 2
+    seed: int = 2  # fans out into the shuffle and two init seeds
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -251,6 +250,12 @@ def dataset_metrics(net: Network, ds: MaskDataset) -> PRF1:
     return prf1(confusion(ds.labels, predict_dataset(net, ds.patches)))
 
 
+def derive_train_seeds(seed: int) -> tuple:
+    """Fan one train seed out into (shuffle, init1, init2) seeds."""
+    state = np.random.SeedSequence(seed).generate_state(3)
+    return tuple(int(x) for x in state)
+
+
 def _epoch_batches(rng, n: int, batch_size: int, n_max: int):
     """n_max index chunks for one epoch; reshuffles whenever a permutation
     runs out, so any n_max stays deterministic in the rng state."""
@@ -291,12 +296,12 @@ def train(
         raise ConfigError("train and model-selection sets must be non-empty")
     n = len(train_ds)
     n_max = config.n_max if config.n_max > 0 else -(-n // config.batch_size)
-    shuffle_rng = np.random.default_rng(config.shuffle_seed)
+    shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(config.seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    net1 = init_network(replace(net_spec, seed=config.init_seed_1))
-    nets = [net1]
+    nets = [init_network(replace(net_spec, seed=init_seed_1))]
     if config.algo != "vanilla":
-        nets.append(init_network(replace(net_spec, seed=config.init_seed_2)))
+        nets.append(init_network(replace(net_spec, seed=init_seed_2)))
 
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only

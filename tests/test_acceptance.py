@@ -172,9 +172,7 @@ def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
             batch_size=32,
             tau_f=0.4,
             swap_rate=0.0,
-            shuffle_seed=101,
-            init_seed_1=202,
-            init_seed_2=303,
+            seed=101,
         )
         with monkeypatch.context() as mp:
             # co-teaching runs the independent reference step in place of

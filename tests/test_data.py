@@ -225,22 +225,6 @@ def test_zero_fraction_partitions_allowed():
 # binary format
 
 
-def write_legacy_dataset(path, ds):
-    """Reference writer for the superseded formats, one struct-packed
-    record at a time: version 1 (label + patch) without clean labels,
-    version 2 (noisy label + clean label + patch) with them."""
-    version = 1 if ds.clean_labels is None else 2
-    m, c, n = ds.m, ds.channels, len(ds)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", b"CANC", version, m, c, n))
-        patches32 = ds.patches.astype("<f4")
-        for i in range(n):
-            fh.write(struct.pack("<B", int(ds.labels[i])))
-            if version == 2:
-                fh.write(struct.pack("<B", int(ds.clean_labels[i])))
-            fh.write(patches32[i].tobytes())
-
-
 def file_version(path):
     with open(path, "rb") as fh:
         return struct.unpack("<4sI", fh.read(8))[1]
@@ -257,7 +241,7 @@ def test_dataset_file_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "d.bin")
     write_dataset(path, ds)
     assert file_version(path) == 3
-    back = read_dataset(path, tau_label=ds.tau_label)
+    back = read_dataset(path)
     assert back.m == ds.m and back.channels == ds.channels and len(back) == len(ds)
     assert np.array_equal(back.labels, ds.labels)
     assert back.clean_labels is None
@@ -290,46 +274,6 @@ def test_dataset_file_v3_layout(tmp_path):
     assert raw[34:] == ds.patches.astype("<f4").tobytes()
 
 
-def test_legacy_v1_file_reads_as_one_scene(tmp_path):
-    ds = make_dataset(n_scenes=1, m=8)  # an 8x8 grid: the square-ish layout matches
-    path = os.path.join(tmp_path, "v1.bin")
-    write_legacy_dataset(path, ds)
-    assert file_version(path) == 1
-    back = read_dataset(path, tau_label=ds.tau_label)
-    assert back.m == ds.m and back.channels == ds.channels and len(back) == len(ds)
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.clean_labels is None
-    assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
-    assert_same_origin(back, ds)
-
-
-def test_legacy_v2_file_reads_clean_labels(tmp_path):
-    ds = make_dataset(n_scenes=2, m=8)
-    noisy = ds.with_labels(1 - ds.labels, clean_labels=ds.labels)
-    path = os.path.join(tmp_path, "v2.bin")
-    write_legacy_dataset(path, noisy)
-    assert file_version(path) == 2
-    back = read_dataset(path)
-    assert np.array_equal(back.labels, noisy.labels)
-    assert np.array_equal(back.clean_labels, ds.labels)
-    assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
-    # v2 keeps no origin: every mask is scene 0, placed row-major
-    g = int(np.sqrt(len(ds)))
-    assert np.array_equal(back.scene_ids, np.zeros(len(ds), dtype=np.int64))
-    assert np.array_equal(back.rows * g + back.cols, np.arange(len(ds)))
-
-
-def test_legacy_file_truncated(tmp_path):
-    ds = make_dataset(n_scenes=1, m=8)
-    path = os.path.join(tmp_path, "t1.bin")
-    write_legacy_dataset(path, ds)
-    data = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(data[:-1])
-    with pytest.raises(DataError):
-        read_dataset(path)
-
-
 def test_dataset_file_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "bad.bin")
     with open(path, "wb") as fh:
@@ -349,12 +293,13 @@ def test_dataset_file_truncated(tmp_path):
         read_dataset(path)
 
 
-def test_dataset_file_bad_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 99])
+def test_dataset_file_bad_version(tmp_path, version):
     ds = make_dataset(n_scenes=1, m=8)
     path = os.path.join(tmp_path, "v.bin")
     write_dataset(path, ds)
     data = bytearray(open(path, "rb").read())
-    data[4] = 99  # version byte (little-endian u32)
+    data[4] = version  # version byte (little-endian u32)
     with open(path, "wb") as fh:
         fh.write(bytes(data))
     with pytest.raises(DataError):
@@ -378,6 +323,4 @@ def test_mask_dataset_length_validation():
             scene_ids=ds.scene_ids,
             rows=ds.rows,
             cols=ds.cols,
-            m=ds.m,
-            tau_label=ds.tau_label,
         )

@@ -3,6 +3,7 @@ compare, data generation, and the CLI surface."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -27,8 +28,9 @@ from canclab import (
     run_experiment,
     sweep,
 )
-from canclab.config import derive_train_seeds, parse_config_text
+from canclab.config import parse_config_text
 from canclab.harness import _scene_params, parse_grid, prepare_data, resolve_out_dir
+from canclab.training import derive_train_seeds
 
 TINY = """
 [data]
@@ -77,10 +79,8 @@ def test_config_defaults():
 
 
 def test_config_empty_text_is_the_dataclass_defaults():
-    seeds = derive_train_seeds(ExperimentConfig().train_seed)
-    derived = dict(zip(("shuffle_seed", "init_seed_1", "init_seed_2"), seeds))
     cfg = parse_config_text("")
-    assert cfg == replace(ExperimentConfig(), train=replace(TrainConfig(), **derived))
+    assert cfg == ExperimentConfig()
     # the scene knobs default to the generator's own defaults
     assert _scene_params(cfg.data) == SceneGenParams()
 
@@ -127,7 +127,6 @@ network = conv(4,3,1) lrelu(0.2) dense(400,2)
 [output]
 dir = elsewhere
 """
-    shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(8)
     expected = ExperimentConfig(
         data=DataConfig(
             source="file", path=os.path.join(str(tmp_path), "masks.bin"), n_scenes=3,
@@ -138,10 +137,8 @@ dir = elsewhere
         noise=NoiseConfig(kind="antisymmetric", epsilon=0.3, seed=6, noise_modelsel=True),
         train=TrainConfig(
             algo="coteaching", lr=0.1, t_max=5, t_k=4, batch_size=16, n_max=9, tau_f=0.3,
-            swap_rate=0.2, swap_mode="one_minus_r", persist_swaps=True,
-            shuffle_seed=shuffle_seed, init_seed_1=init_seed_1, init_seed_2=init_seed_2,
+            swap_rate=0.2, swap_mode="one_minus_r", persist_swaps=True, seed=8,
         ),
-        train_seed=8,
         network="conv(4,3,1) lrelu(0.2) dense(400,2)",
         output=OutputConfig(dir="elsewhere"),
     )
@@ -153,7 +150,7 @@ dir = elsewhere
             got = getattr(getattr(cfg, section), f.name)
             assert got != getattr(getattr(default, section), f.name), (section, f.name)
             assert type(got) is type(getattr(getattr(expected, section), f.name)), (section, f.name)
-    assert cfg.train_seed != default.train_seed and cfg.network != default.network
+    assert cfg.network != default.network
 
 
 @pytest.mark.parametrize(
@@ -208,10 +205,8 @@ def test_config_file_source_requires_existing_path(tmp_path):
 def test_derive_train_seeds_deterministic():
     assert derive_train_seeds(7) == derive_train_seeds(7)
     assert derive_train_seeds(7) != derive_train_seeds(8)
-    cfg1 = parse_config_text("[train]\nseed = 7\n")
-    cfg2 = parse_config_text("[train]\nseed = 7\n")
-    assert cfg1.train.shuffle_seed == cfg2.train.shuffle_seed
-    assert len({cfg1.train.shuffle_seed, cfg1.train.init_seed_1, cfg1.train.init_seed_2}) == 3
+    assert parse_config_text("[train]\nseed = 7\n").train.seed == 7
+    assert len(set(derive_train_seeds(7))) == 3
 
 
 def test_ablation_flag_maps_to_swap_mode():
@@ -392,6 +387,37 @@ def test_cli_file_source_rejects_file_with_noise(tmp_path):
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr and "full.bin" in proc.stderr
+
+
+def test_cli_file_source_mask_shape_comes_from_the_file(tmp_path):
+    gen_data(tiny_cfg(), out_dir=str(tmp_path / "d"))  # m = 16
+    text = file_source_ini(tmp_path / "d" / "full.bin").replace("m = 16", "m = 32")
+    # TINY's network fits the file's 16 x 16 masks, whatever [data] m says
+    cfg_path = tmp_path / "m32.ini"
+    cfg_path.write_text(text)
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    # the default network's dense layer is sized for 32 x 32 masks
+    lines = [line for line in text.splitlines() if not line.startswith("network")]
+    cfg_path.write_text("\n".join(lines))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o2")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "m, channels, count",
+    [(0, 1, 1), (16, 0, 1), (70000, 70000, 1), (16, 1, 2**32 - 1)],
+    ids=["m0", "channels0", "huge_mask", "huge_count"],
+)
+def test_cli_file_source_bad_header_exit_3(tmp_path, m, channels, count):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(struct.pack("<4sIIII", b"CANC", 3, m, channels, count) + b"\x00" * 64)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(file_source_ini(path))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,6 @@ def toy_dataset(n=64, seed=0, noisy=False):
         scene_ids=np.zeros(n, dtype=np.int64),
         rows=np.arange(n, dtype=np.int64),
         cols=np.zeros(n, dtype=np.int64),
-        m=8,
-        tau_label=0.01,
         clean_labels=clean,
     )
 
@@ -279,7 +277,7 @@ def test_canc_iteration_overlap_mode_swap_wins():
 def base_config(**kw):
     cfg = dict(
         algo="canc", lr=0.2, t_max=4, t_k=2, batch_size=16, tau_f=0.4,
-        swap_rate=0.1, shuffle_seed=10, init_seed_1=11, init_seed_2=12,
+        swap_rate=0.1, seed=10,
     )
     cfg.update(kw)
     return TrainConfig(**cfg)
@@ -320,10 +318,10 @@ def test_train_determinism():
         assert params_equal(na, nb)
 
 
-def test_train_shuffle_seed_changes_trajectory():
+def test_train_seed_changes_trajectory():
     ds = toy_dataset(n=48, seed=2, noisy=True)
     a = train(ds, ds, SPEC, base_config())
-    b = train(ds, ds, SPEC, base_config(shuffle_seed=99))
+    b = train(ds, ds, SPEC, base_config(seed=99))
     assert repr(a.records) != repr(b.records)
 
 
