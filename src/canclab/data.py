@@ -300,7 +300,8 @@ def write_dataset(path, ds: MaskDataset):
 def read_dataset(path) -> MaskDataset:
     """Read back a file that write_dataset wrote (version 3), with each
     mask's scene id and grid position. Any other version, a malformed
-    header or a short file is a DataError."""
+    header, or a file shorter or longer than its header's record count is
+    a DataError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -317,9 +318,12 @@ def read_dataset(path) -> MaskDataset:
         except ValueError as exc:
             raise DataError(f"{path}: mask shape m={m}, channels={c}: {exc}") from exc
         # checked before reading, so a bad count never sizes an allocation
-        held = (os.fstat(fh.fileno()).st_size - _HEADER.size) // dtype.itemsize
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        held = body // dtype.itemsize
         if held < n:
             raise DataError(f"{path}: truncated after record {held} of {n}")
+        if body != n * dtype.itemsize:
+            raise DataError(f"{path}: {body - n * dtype.itemsize} bytes after the {n} records")
         records = np.fromfile(fh, dtype=dtype, count=n)
     clean = records["clean"]
     return MaskDataset(

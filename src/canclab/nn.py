@@ -12,6 +12,15 @@ module is built around three hard guarantees rather than generality:
 Supported layers: valid (unpadded) strided 2D convolution, dense, and
 leaky ReLU. Data layout is channels-last: (B, H, W, C). Everything is
 float64.
+
+Entry points: per_sample_loss ranks a batch, sgd_step updates on one, and
+loss_and_gradients exposes the gradients; each runs its own forward over
+exactly the rows it is given. Backprop stops at the first parametric
+layer's weights: no gradient with respect to the network input is formed.
+A step on chosen rows does not reuse the ranking forward over the whole
+batch: a GEMM row's last bits may depend on how many rows the GEMM has
+(BLAS picks kernels by size), so a sliced forward would make the step
+depend on the batch the rows were ranked in.
 """
 
 from __future__ import annotations
@@ -281,7 +290,8 @@ def _forward(net: Network, x: np.ndarray):
 
 def _backward(net: Network, caches, dlogits: np.ndarray):
     """Push dlogits back through the caches; returns grads aligned with
-    net.params (list of (dW, db))."""
+    net.params (list of (dW, db)). Stops at the first parametric layer:
+    nothing reads the gradient with respect to the network input."""
     grads = [None] * len(net.params)
     d = dlogits
     p = len(net.params)
@@ -292,6 +302,8 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
             p -= 1
             w, _ = net.params[p]
             grads[p] = (flat.T @ d, d.sum(axis=0))
+            if p == 0:
+                break
             d = (d @ w.T).reshape(pre_shape)
         elif kind == "conv":
             _, windows, layer, in_shape = cache
@@ -303,12 +315,18 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
             dw = dw.transpose(1, 2, 0, 3)
             db = d.sum(axis=(0, 1, 2))
             grads[p] = (dw, db)
-            _, hp, wp, _ = d.shape
+            if p == 0:
+                break
+            n, hp, wp, o = d.shape
+            dflat = d.reshape(-1, o)
+            # each offset's product is the GEMM tensordot(d, w[u, v],
+            # axes=([3], [1])) runs, on the same operands
+            wt = np.ascontiguousarray(w.transpose(0, 1, 3, 2))  # (k,k,O,C)
             dx = np.zeros(in_shape)
             for u in range(k):
                 for v in range(k):
-                    dx[:, u : u + s * hp : s, v : v + s * wp : s, :] += np.tensordot(
-                        d, w[u, v], axes=([3], [1])
+                    dx[:, u : u + s * hp : s, v : v + s * wp : s, :] += (dflat @ wt[u, v]).reshape(
+                        n, hp, wp, -1
                     )
             d = dx
         else:  # lrelu

@@ -188,11 +188,10 @@ def flip_labels(labels, idx) -> np.ndarray:
 
 def _teaching_batch(batch: Batch, clean_idx, swap_idx) -> Batch:
     """Assemble the peer's update batch: clean samples as labeled, swap
-    samples with flipped labels, in that order."""
-    flipped = flip_labels(batch.y, swap_idx)
-    x = np.concatenate([batch.x[clean_idx], batch.x[swap_idx]])
-    y = np.concatenate([batch.y[clean_idx], flipped[swap_idx]])
-    return Batch(x=x, y=y)
+    samples with flipped labels, in that order (the two sets are
+    disjoint)."""
+    rows = np.concatenate([clean_idx, swap_idx])
+    return Batch(x=batch.x[rows], y=flip_labels(batch.y, swap_idx)[rows])
 
 
 def _select_sets(losses, r: float, s: float) -> tuple:

@@ -23,3 +23,43 @@ def coteaching_iteration(m1, m2, batch, r, s, lr, allow_overlap=False):
     m1_new = sgd_step(m1, Batch(batch.x[clean_2], batch.y[clean_2]), lr)
     empty = np.empty(0, dtype=np.int64)
     return m1_new, m2_new, IterationDiag(clean_1, empty, clean_2, empty)
+
+
+def full_backward(net, caches, dlogits):
+    """Backprop through every cached layer, the network input included.
+
+    Written separately from canclab.nn._backward, whose signature and
+    result it shares; unlike it, this one forms every conv layer's input
+    gradient, the unused one of the network input too, with one tensordot
+    per kernel offset.
+    """
+    grads = [None] * len(net.params)
+    d = dlogits
+    p = len(net.params)
+    for cache in reversed(caches):
+        kind = cache[0]
+        if kind == "dense":
+            _, flat, pre_shape = cache
+            p -= 1
+            w, _ = net.params[p]
+            grads[p] = (flat.T @ d, d.sum(axis=0))
+            d = (d @ w.T).reshape(pre_shape)
+        elif kind == "conv":
+            _, windows, layer, in_shape = cache
+            p -= 1
+            w, _ = net.params[p]
+            k, s = layer.kernel_size, layer.stride
+            dw = np.tensordot(windows, d, axes=([0, 1, 2], [0, 1, 2]))  # (C,k,k,O)
+            grads[p] = (dw.transpose(1, 2, 0, 3), d.sum(axis=(0, 1, 2)))
+            _, hp, wp, _ = d.shape
+            dx = np.zeros(in_shape)
+            for u in range(k):
+                for v in range(k):
+                    dx[:, u : u + s * hp : s, v : v + s * wp : s, :] += np.tensordot(
+                        d, w[u, v], axes=([3], [1])
+                    )
+            d = dx
+        else:  # lrelu
+            _, pre, layer = cache
+            d = np.where(pre > 0, d, layer.slope * d)
+    return grads

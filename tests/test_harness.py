@@ -16,6 +16,7 @@ from canclab import (
     DataConfig,
     DataError,
     ExperimentConfig,
+    MaskDataset,
     NoiseConfig,
     OutputConfig,
     SceneGenParams,
@@ -27,6 +28,7 @@ from canclab import (
     read_dataset,
     run_experiment,
     sweep,
+    write_dataset,
 )
 from canclab.config import parse_config_text
 from canclab.harness import _scene_params, parse_grid, prepare_data, resolve_out_dir
@@ -156,14 +158,29 @@ dir = elsewhere
 @pytest.mark.parametrize(
     "text",
     [
-        "[train]\nshuffle_seed = 3\n",
         "[train]\nswap_mode = one_minus_r\n",
         "[noise]\nkind = symmetric\n",
-        "[output]\nformats = csv,json\n",
     ],
-    ids=["shuffle_seed", "swap_mode", "kind", "formats"],
+    ids=["swap_mode", "kind"],
 )
 def test_cli_rejects_field_names_that_are_not_keys(tmp_path, text):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text)
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2
+    assert "unknown keys" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[train]\nshuffle_seed = 3\n",
+        "[output]\nformats = csv,json\n",
+    ],
+    ids=["shuffle_seed", "formats"],
+)
+def test_cli_rejects_removed_keys(tmp_path, text):
+    # keys that older configs carried; neither is a field any more
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text)
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -413,6 +430,31 @@ def test_cli_file_source_mask_shape_comes_from_the_file(tmp_path):
 def test_cli_file_source_bad_header_exit_3(tmp_path, m, channels, count):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<4sIIII", b"CANC", 3, m, channels, count) + b"\x00" * 64)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(file_source_ini(path))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_file_source_trailing_bytes_exit_3(tmp_path):
+    path = tmp_path / "full.bin"
+    n = 16
+    write_dataset(
+        str(path),
+        MaskDataset(
+            patches=np.zeros((n, 16, 16, 1)),
+            labels=np.zeros(n, dtype=np.int64),
+            scene_ids=np.zeros(n, dtype=np.int64),
+            rows=np.arange(n, dtype=np.int64),
+            cols=np.zeros(n, dtype=np.int64),
+        ),
+    )
+    assert len(read_dataset(str(path))) == n
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 5000)
+    with pytest.raises(DataError):
+        read_dataset(str(path))
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(file_source_ini(path))
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])

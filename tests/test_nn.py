@@ -22,7 +22,9 @@ from canclab import (
     sgd_step,
     swap_logits,
 )
-from canclab.nn import _forward, _per_sample_ce, layer_plan
+from canclab import nn
+from canclab.nn import _backward, _forward, _per_sample_ce, layer_plan
+from oracles import full_backward
 
 
 def tiny_spec(seed=0):
@@ -238,6 +240,43 @@ def test_sgd_step_does_not_mutate_input_network():
     sgd_step(net, rand_batch(tiny_spec()), 0.7)
     for (w0, b0), (w1, b1) in zip(snapshot, net.params):
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+
+BITWISE_NETS = {
+    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
+    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(147,2)"),
+    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(147,8) lrelu(0.1) dense(8,2)"),
+}
+
+
+@pytest.mark.parametrize("b", [1, 7, 51, 64, 512])
+@pytest.mark.parametrize("name", sorted(BITWISE_NETS))
+def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
+    """Skipping the input gradient and transposing each conv weight once
+    must leave every gradient, and a step on chosen rows with some labels
+    flipped, bitwise as the full backward gives them."""
+    size, layers = BITWISE_NETS[name]
+    spec = NetworkSpec(input_size=size, channels=1, layers=parse_layers(layers), seed=b)
+    net = init_network(spec)
+    rng = np.random.default_rng(b)
+    x = rng.uniform(0.0, 1.0, size=(b, size, size, 1))
+    y = rng.integers(0, 2, size=b)
+    logits, caches = _forward(net, x)
+    dlogits = rng.normal(size=logits.shape) / b
+    for (gw, gb), (ow, ob) in zip(_backward(net, caches, dlogits), full_backward(net, caches, dlogits)):
+        assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
+
+    # a peer batch as CANC builds it: chosen rows, then rows with flipped labels
+    order = rng.permutation(b)
+    n_keep = (3 * b) // 5
+    keep, flip = order[:n_keep], order[n_keep : max(n_keep + 1, (4 * b) // 5)]
+    rows = np.concatenate([keep, flip])
+    batch = Batch(x[rows], np.concatenate([y[keep], 1 - y[flip]]))
+    got = sgd_step(net, batch, 0.05)
+    monkeypatch.setattr(nn, "_backward", full_backward)
+    want = sgd_step(net, batch, 0.05)
+    for (gw, gb), (ow, ob) in zip(got.params, want.params):
+        assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
 
 
 def test_swap_logits_inverts_predictions_and_leaves_input():

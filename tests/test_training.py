@@ -26,7 +26,7 @@ from canclab import (
     sgd_step,
     train,
 )
-from canclab import training
+from canclab import nn, training
 from oracles import coteaching_iteration
 
 SPEC = NetworkSpec(
@@ -197,6 +197,20 @@ def test_canc_iteration_counts():
     assert len(diag.clean_for_m1) == 6 and len(diag.swap_for_m1) == 2
 
 
+def manual_update(selector_net, updated_net, batch, r, s, lr):
+    """The peer update spelled out: rank losses, pick clean + swap sets,
+    flip the swap labels, concatenate, take one SGD step."""
+    losses = per_sample_loss(selector_net, batch)
+    clean = select_clean(losses, r)
+    swap = select_swap(losses, s)
+    flipped = flip_labels(batch.y, swap)
+    union = Batch(
+        np.concatenate([batch.x[clean], batch.x[swap]]),
+        np.concatenate([batch.y[clean], flipped[swap]]),
+    )
+    return sgd_step(updated_net, union, lr)
+
+
 def test_canc_iteration_matches_manual_assembly_oracle():
     """The peer update must equal: rank losses, pick clean + swap sets,
     flip the swap labels, concatenate, take one SGD step."""
@@ -207,23 +221,48 @@ def test_canc_iteration_matches_manual_assembly_oracle():
 
     m1_new, m2_new, _ = canc_iteration(m1, m2, batch, r, s, lr)
 
-    def manual_update(selector_net, updated_net):
-        losses = per_sample_loss(selector_net, batch)
-        clean = select_clean(losses, r)
-        swap = select_swap(losses, s)
-        flipped = flip_labels(batch.y, swap)
-        union = Batch(
-            np.concatenate([batch.x[clean], batch.x[swap]]),
-            np.concatenate([batch.y[clean], flipped[swap]]),
-        )
-        return sgd_step(updated_net, union, lr)
-
-    oracle_m2 = manual_update(m1, m2)
-    oracle_m1 = manual_update(m2, m1)
+    oracle_m2 = manual_update(m1, m2, batch, r, s, lr)
+    oracle_m1 = manual_update(m2, m1, batch, r, s, lr)
     for got, want in ((m2_new, oracle_m2), (m1_new, oracle_m1)):
         for (wg, bg), (ww, bw) in zip(got.params, want.params):
             assert np.allclose(wg, ww, rtol=1e-12, atol=0)
             assert np.allclose(bg, bw, rtol=1e-12, atol=0)
+
+
+def test_canc_iteration_forwards_ranked_batch_and_peer_rows_once(monkeypatch):
+    """Each network runs one forward over the batch to rank it and one over
+    the rows its peer picked, and the step is bitwise the rank, pick,
+    flip, assemble, SGD recipe.
+
+    The peer's rows are forwarded again rather than sliced out of the
+    ranking forward: the BLAS may pick another GEMM kernel for 25 rows than
+    for 64, so a conv output row can differ in its last bits between the
+    two (with the default network at B=64 it does on some machines)."""
+    spec = NetworkSpec(
+        input_size=32,
+        channels=1,
+        layers=parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
+    )
+    m1 = init_network(replace(spec, seed=1))
+    m2 = init_network(replace(spec, seed=2))
+    rng = np.random.default_rng(8)
+    batch = Batch(rng.uniform(0, 1, size=(64, 32, 32, 1)), rng.integers(0, 2, size=64))
+    r, s, lr = 0.3, 0.1, 0.05
+
+    rows_seen = []
+    real_forward = nn._forward
+
+    def counting_forward(net, x):
+        rows_seen.append(len(x))
+        return real_forward(net, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nn, "_forward", counting_forward)
+        m1_new, m2_new, _ = canc_iteration(m1, m2, batch, r, s, lr)
+    # two rank forwards, then each peer's 19 clean + 6 swapped rows
+    assert rows_seen == [64, 64, 25, 25]
+    assert params_equal(m2_new, manual_update(m1, m2, batch, r, s, lr))
+    assert params_equal(m1_new, manual_update(m2, m1, batch, r, s, lr))
 
 
 def test_canc_s_zero_bitwise_equals_coteaching_iteration():
