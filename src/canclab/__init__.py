@@ -33,7 +33,6 @@ from .noise import (
     symmetric_matrix,
 )
 from .nn import (
-    Batch,
     Conv,
     Dense,
     LeakyRelu,

@@ -148,31 +148,14 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _metrics_dict(m) -> dict:
-    return {"accuracy": m.accuracy, "precision": m.precision, "recall": m.recall, "f1": m.f1}
-
-
 def _epochs_csv(result: TrainResult) -> str:
+    """One row per (epoch, split); each column is the record's field or
+    the split's metric of that name."""
     lines = [",".join(EPOCH_CSV_COLUMNS)]
     for rec in result.records:
         for split, m in (("train", rec.train_metrics), ("modelsel", rec.modelsel_metrics)):
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.epoch),
-                        split,
-                        str(m.accuracy),
-                        str(m.precision),
-                        str(m.recall),
-                        str(m.f1),
-                        str(rec.remember_rate),
-                        str(rec.n_clean),
-                        str(rec.n_swapped),
-                        str(rec.swap_correct_fraction),
-                        str(rec.inverted),
-                    ]
-                )
-            )
+            row = {**vars(rec), **asdict(m), "split": split}
+            lines.append(",".join(str(row[col]) for col in EPOCH_CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -196,9 +179,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     best = result.records[result.best_epoch]
     eval_pred = predict_dataset(result.best_network, eval_ds.patches)
     final = {
-        "train": _metrics_dict(best.train_metrics),
-        "modelsel": _metrics_dict(best.modelsel_metrics),
-        "eval": _metrics_dict(prf1(confusion(eval_ds.labels, eval_pred))),
+        "train": asdict(best.train_metrics),
+        "modelsel": asdict(best.modelsel_metrics),
+        "eval": asdict(prf1(confusion(eval_ds.labels, eval_pred))),
     }
     ious = scene_sp_iou(eval_ds.scene_ids, eval_ds.labels, eval_pred)
     final["eval"]["sp_iou_mean"] = (
@@ -293,7 +276,12 @@ def parse_grid(text: str) -> dict:
         items = [v.strip() for v in values.split(",") if v.strip()]
         if not items:
             raise ConfigError(f"grid axis {key!r} has no values")
-        grid[key] = [float(v) for v in items] if key == "epsilon" else items
+        if key == "epsilon":
+            try:
+                items = [float(v) for v in items]
+            except ValueError as exc:
+                raise ConfigError(f"grid axis 'epsilon': {exc}") from exc
+        grid[key] = items
     if not grid:
         raise ConfigError("empty sweep grid")
     return grid
@@ -347,26 +335,32 @@ def load_report(run_dir: str) -> RunReport:
     """Rehydrate a report from a run directory's summary and SP-IoU files."""
     spath = os.path.join(run_dir, "summary.json")
     ipath = os.path.join(run_dir, "sp_iou.json")
+    loaded = []
     for path in (spath, ipath):
         if not os.path.isfile(path):
             raise DataError(f"missing report file: {path}")
-    with open(spath) as fh:
-        summary = json.load(fh)
-    with open(ipath) as fh:
-        ious = json.load(fh)
-    return RunReport(
-        name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
-        out_dir=run_dir,
-        config_echo=summary["config"],
-        files=summary["files"],
-        counts=summary["counts"],
-        best_epoch=summary["best"]["epoch"],
-        best_accuracy=summary["best"]["modelsel_accuracy"],
-        final_metrics=summary["final_metrics"],
-        scene_ious=tuple(ious),
-        wall_time=math.nan,
-        version=summary.get("version", "unknown"),
-    )
+        with open(path) as fh:
+            try:
+                loaded.append(json.load(fh))
+            except ValueError as exc:
+                raise DataError(f"report file {path} is not valid JSON: {exc}") from exc
+    summary, ious = loaded
+    try:
+        return RunReport(
+            name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
+            out_dir=run_dir,
+            config_echo=summary["config"],
+            files=summary["files"],
+            counts=summary["counts"],
+            best_epoch=summary["best"]["epoch"],
+            best_accuracy=summary["best"]["modelsel_accuracy"],
+            final_metrics=summary["final_metrics"],
+            scene_ious=tuple(ious),
+            wall_time=math.nan,
+            version=summary.get("version", "unknown"),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataError(f"report file {spath} is not a run summary: {exc!r}") from exc
 
 
 def compare_runs(reports) -> dict:

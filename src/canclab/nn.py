@@ -13,10 +13,12 @@ Supported layers: valid (unpadded) strided 2D convolution, dense, and
 leaky ReLU. Data layout is channels-last: (B, H, W, C). Everything is
 float64.
 
-Entry points: per_sample_loss ranks a batch, sgd_step updates on one, and
-loss_and_gradients exposes the gradients; each runs its own forward over
-exactly the rows it is given. Backprop stops at the first parametric
-layer's weights: no gradient with respect to the network input is formed.
+Entry points: per_sample_loss(net, x, y) ranks a batch, sgd_step(net, x,
+y, lr) updates on one, and loss_and_gradients(net, x, y) exposes the
+gradients; x is (B,H,W,C) in [0,1] and y holds B labels in {0,1}. Each
+runs its own forward over exactly the rows it is given. Backprop stops at
+the first parametric layer's weights: no gradient with respect to the
+network input is formed.
 A step on chosen rows does not reuse the ranking forward over the whole
 batch: a GEMM row's last bits may depend on how many rows the GEMM has
 (BLAS picks kernels by size), so a sliced forward would make the step
@@ -40,7 +42,6 @@ __all__ = [
     "LeakyRelu",
     "NetworkSpec",
     "Network",
-    "Batch",
     "init_network",
     "per_sample_loss",
     "predict",
@@ -94,18 +95,6 @@ class NetworkSpec:
         if self.init not in INIT_SCHEMES:
             raise ConfigError(f"unknown init scheme {self.init!r}")
         layer_plan(self)  # validates dimensions eagerly
-
-    def to_string(self) -> str:
-        """Compact layer grammar used in config files (see parse_layers)."""
-        parts = []
-        for layer in self.layers:
-            if isinstance(layer, Conv):
-                parts.append(f"conv({layer.channels},{layer.kernel_size},{layer.stride})")
-            elif isinstance(layer, Dense):
-                parts.append(f"dense({layer.in_dim},{layer.out_dim})")
-            elif isinstance(layer, LeakyRelu):
-                parts.append(f"lrelu({layer.slope:g})")
-        return " ".join(parts)
 
 
 _LAYER_RE = re.compile(r"^(conv|dense|lrelu)\(([^()]*)\)$")
@@ -181,7 +170,7 @@ def layer_plan(spec: NetworkSpec):
 
 
 # ---------------------------------------------------------------------------
-# network value and batches
+# network value
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,29 +179,6 @@ class Network:
 
     spec: NetworkSpec
     params: tuple  # one (W, b) pair per parametric layer, in layer order
-
-
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """A mini-batch: images (B,m,m,C) in [0,1] and labels in {0,1}."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
-        if x.ndim != 4:
-            raise ValueError(f"batch x must be 4D (B,H,W,C), got shape {x.shape}")
-        if x.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if y.shape != (x.shape[0],):
-            raise ValueError("labels must have length B")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self):
-        return self.x.shape[0]
 
 
 def init_network(spec: NetworkSpec) -> Network:
@@ -248,10 +214,20 @@ def init_network(spec: NetworkSpec) -> Network:
 # forward / backward
 
 
-def _check_batch(net: Network, batch: Batch):
+def _check_input(net: Network, x, y=None):
+    """x as float64 (B,H,W,C) with B >= 1 matching net's input and, when
+    given, y as B int64 labels; raises ValueError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
     expect = (net.spec.input_size, net.spec.input_size, net.spec.channels)
-    if batch.x.shape[1:] != expect:
-        raise ValueError(f"batch shape {batch.x.shape[1:]} does not match spec input {expect}")
+    if x.ndim != 4 or x.shape[1:] != expect:
+        raise ValueError(f"input shape {x.shape} does not match spec input {expect}")
+    if len(x) < 1:
+        raise ValueError("batch must contain at least one sample")
+    if y is not None:
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (len(x),):
+            raise ValueError(f"labels must have length B={len(x)}, got shape {y.shape}")
+    return x, y
 
 
 def _forward(net: Network, x: np.ndarray):
@@ -346,38 +322,34 @@ def _per_sample_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def per_sample_loss(net: Network, batch: Batch) -> np.ndarray:
+def per_sample_loss(net: Network, x, y) -> np.ndarray:
     """Cross-entropy of each sample under the current parameters, length B.
 
     No reduction: the co-teaching selection ranks these directly.
     """
-    _check_batch(net, batch)
-    logits, _ = _forward(net, batch.x)
-    return _per_sample_ce(logits, batch.y)
+    x, y = _check_input(net, x, y)
+    logits, _ = _forward(net, x)
+    return _per_sample_ce(logits, y)
 
 
 def predict(net: Network, x) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
     label 0. No labels needed, unlike the loss entry points."""
-    x = np.asarray(x, dtype=np.float64)
-    expect = (net.spec.input_size, net.spec.input_size, net.spec.channels)
-    if x.ndim != 4 or x.shape[1:] != expect:
-        raise ValueError(f"input shape {x.shape} does not match spec input {expect}")
-    logits, _ = _forward(net, x)
+    logits, _ = _forward(net, _check_input(net, x)[0])
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-def loss_and_gradients(net: Network, batch: Batch):
+def loss_and_gradients(net: Network, x, y):
     """Mean batch loss plus exact gradients of it w.r.t. every parameter."""
-    _check_batch(net, batch)
-    logits, caches = _forward(net, batch.x)
-    losses = _per_sample_ce(logits, batch.y)
-    b = len(batch)
+    x, y = _check_input(net, x, y)
+    logits, caches = _forward(net, x)
+    losses = _per_sample_ce(logits, y)
+    b = len(y)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
     dlogits = probs.copy()
-    dlogits[np.arange(b), batch.y] -= 1.0
+    dlogits[np.arange(b), y] -= 1.0
     dlogits /= b
     grads = _backward(net, caches, dlogits)
     for i, (dw, db) in enumerate(grads):
@@ -386,11 +358,11 @@ def loss_and_gradients(net: Network, batch: Batch):
     return float(losses.mean()), grads
 
 
-def sgd_step(net: Network, batch: Batch, lr: float) -> Network:
+def sgd_step(net: Network, x, y, lr: float) -> Network:
     """One plain gradient step on the mean batch cross-entropy."""
     if lr < 0:
         raise ConfigError("learning rate must be >= 0")
-    _, grads = loss_and_gradients(net, batch)
+    _, grads = loss_and_gradients(net, x, y)
     new_params = tuple(
         (w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads)
     )

@@ -6,9 +6,13 @@ by its own per-sample loss on the labels as given, keeps the low-loss
 fraction R as presumed-clean, additionally takes the top-loss fraction S
 and flips those binary labels, and hands the union to the peer for one SGD
 step. Co-teaching is CANC at S=0, so both run the same step,
-canc_iteration. Selections always use pre-update parameters, so the two
-updates per iteration are order-independent and the whole loop is bitwise
-reproducible from its seeds.
+canc_iteration(m1, m2, x, y, r, s, lr). Selections always use pre-update
+parameters, so the two updates per iteration are order-independent and the
+whole loop is bitwise reproducible from its seeds.
+
+Each epoch shuffles the training set once and cuts the permutation into
+batch_size chunks, the last one possibly shorter, so every row is fed
+exactly once per epoch.
 
 R follows a schedule that starts at 1 (first epoch trains on everything)
 and decays linearly to a floor of 1 - tau_f at epoch t_k.
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import Batch, Network, NetworkSpec, init_network, per_sample_loss, predict, sgd_step, swap_logits
+from .nn import Network, NetworkSpec, init_network, per_sample_loss, predict, sgd_step, swap_logits
 
 __all__ = [
     "TrainConfig",
@@ -57,7 +61,6 @@ class TrainConfig:
     t_max: int = 30
     t_k: int = 10
     batch_size: int = 64
-    n_max: int = 0  # iterations per epoch; 0 means ceil(n_train / batch_size)
     tau_f: float = 0.45
     swap_rate: float = 0.05
     swap_mode: str = "fixed"
@@ -75,8 +78,6 @@ class TrainConfig:
             raise ConfigError("t_max and t_k must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be >= 0 (0 derives it from the data)")
         if not 0.0 <= self.tau_f < 1.0:
             raise ConfigError("tau_f must be in [0,1)")
         if not 0.0 <= self.swap_rate <= 1.0:
@@ -186,12 +187,12 @@ def flip_labels(labels, idx) -> np.ndarray:
     return y
 
 
-def _teaching_batch(batch: Batch, clean_idx, swap_idx) -> Batch:
-    """Assemble the peer's update batch: clean samples as labeled, swap
-    samples with flipped labels, in that order (the two sets are
+def _teaching_batch(x, y, clean_idx, swap_idx) -> tuple:
+    """Assemble the peer's update batch (x, y): clean samples as labeled,
+    swap samples with flipped labels, in that order (the two sets are
     disjoint)."""
     rows = np.concatenate([clean_idx, swap_idx])
-    return Batch(x=batch.x[rows], y=flip_labels(batch.y, swap_idx)[rows])
+    return x[rows], flip_labels(y, swap_idx)[rows]
 
 
 def _select_sets(losses, r: float, s: float) -> tuple:
@@ -206,32 +207,25 @@ def _select_sets(losses, r: float, s: float) -> tuple:
     return clean, swap
 
 
-def canc_iteration(
-    m1: Network,
-    m2: Network,
-    batch: Batch,
-    r: float,
-    s: float,
-    lr: float,
-    allow_overlap: bool = False,
-):
-    """One cross-teaching step with active label swapping.
+def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
+    """One cross-teaching step with active label swapping on the batch
+    (x, y).
 
     Each network ranks the batch by its own per-sample loss on the labels
     as given, takes the low-loss fraction r as clean and the top-loss
     fraction s for flipping, and the peer does one SGD step on the union.
-    Both rankings use pre-update parameters. s may exceed 1 - r only when
-    allow_overlap is set (schedule-coupled ablation); any clean/swap
-    collision resolves in favor of the swap.
+    Both rankings use pre-update parameters. s must not exceed 1 - r; at
+    s = 1 - r the sets can still collide on loss ties, and any collision
+    resolves in favor of the swap.
     """
-    if not allow_overlap and s > 1.0 - r + 1e-12:
+    if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
-    losses_1 = per_sample_loss(m1, batch)
-    losses_2 = per_sample_loss(m2, batch)
+    losses_1 = per_sample_loss(m1, x, y)
+    losses_2 = per_sample_loss(m2, x, y)
     clean_1, swap_1 = _select_sets(losses_1, r, s)
     clean_2, swap_2 = _select_sets(losses_2, r, s)
-    m2_new = sgd_step(m2, _teaching_batch(batch, clean_1, swap_1), lr)
-    m1_new = sgd_step(m1, _teaching_batch(batch, clean_2, swap_2), lr)
+    m2_new = sgd_step(m2, *_teaching_batch(x, y, clean_1, swap_1), lr)
+    m1_new = sgd_step(m1, *_teaching_batch(x, y, clean_2, swap_2), lr)
     return m1_new, m2_new, IterationDiag(clean_1, swap_1, clean_2, swap_2)
 
 
@@ -253,17 +247,6 @@ def derive_train_seeds(seed: int) -> tuple:
     """Fan one train seed out into (shuffle, init1, init2) seeds."""
     state = np.random.SeedSequence(seed).generate_state(3)
     return tuple(int(x) for x in state)
-
-
-def _epoch_batches(rng, n: int, batch_size: int, n_max: int):
-    """n_max index chunks for one epoch; reshuffles whenever a permutation
-    runs out, so any n_max stays deterministic in the rng state."""
-    chunks = []
-    while len(chunks) < n_max:
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            chunks.append(perm[start : start + batch_size])
-    return chunks[:n_max]
 
 
 def train(
@@ -294,7 +277,6 @@ def train(
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
     n = len(train_ds)
-    n_max = config.n_max if config.n_max > 0 else -(-n // config.batch_size)
     shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
@@ -317,26 +299,20 @@ def train(
             s_eff = min(config.swap_rate, 1.0 - r)
 
         n_clean = n_swapped = n_swap_correct = 0
-        for idx in _epoch_batches(shuffle_rng, n, config.batch_size, n_max):
-            batch = Batch(train_ds.patches[idx], labels_work[idx])
+        perm = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            x, y = train_ds.patches[idx], labels_work[idx]
             if config.algo == "vanilla":
-                nets[0] = sgd_step(nets[0], batch, config.lr)
-                n_clean += len(batch)
+                nets[0] = sgd_step(nets[0], x, y, config.lr)
+                n_clean += len(idx)
                 continue
-            nets[0], nets[1], diag = canc_iteration(
-                nets[0],
-                nets[1],
-                batch,
-                r,
-                s_eff,
-                config.lr,
-                allow_overlap=config.swap_mode == "one_minus_r",
-            )
+            nets[0], nets[1], diag = canc_iteration(nets[0], nets[1], x, y, r, s_eff, config.lr)
             n_clean += len(diag.clean_for_m2) + len(diag.clean_for_m1)
             n_swapped += len(diag.swap_for_m2) + len(diag.swap_for_m1)
             swapped_local = np.concatenate([diag.swap_for_m2, diag.swap_for_m1])
             if swapped_local.size:
-                flipped = 1 - batch.y[swapped_local]
+                flipped = 1 - y[swapped_local]
                 if clean_ref is not None:
                     n_swap_correct += int(np.sum(flipped == clean_ref[idx[swapped_local]]))
                 if config.persist_swaps:

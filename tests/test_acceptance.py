@@ -40,7 +40,7 @@ from canclab import training
 from canclab.config import load_config
 from canclab.data import SceneGenParams
 from canclab.harness import prepare_data, run_experiment
-from canclab.nn import Batch, init_network
+from canclab.nn import init_network
 from oracles import coteaching_iteration
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -95,8 +95,8 @@ def test_criterion_03_gradients_finite_difference():
     rng = np.random.default_rng(5)
     net = init_network(spec)
     x = np.clip(rng.normal(0.3, 0.2, (6, 8, 8, 1)), 0.0, 1.0)
-    batch = Batch(x=x, y=rng.integers(0, 2, 6))
-    _, grads = loss_and_gradients(net, batch)
+    y = rng.integers(0, 2, 6)
+    _, grads = loss_and_gradients(net, x, y)
     h = 1e-5
     worst = 0.0
     for li, (dw, db) in enumerate(grads):
@@ -104,9 +104,9 @@ def test_criterion_03_gradients_finite_difference():
             for idx in np.ndindex(*arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, _ = loss_and_gradients(net, batch)
+                up, _ = loss_and_gradients(net, x, y)
                 arr[idx] = orig - h
-                dn, _ = loss_and_gradients(net, batch)
+                dn, _ = loss_and_gradients(net, x, y)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * h)
                 rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)

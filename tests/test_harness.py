@@ -118,7 +118,6 @@ lr = 0.1
 t_max = 5
 t_k = 4
 batch_size = 16
-n_max = 9
 tau_f = 0.3
 swap_rate = 0.2
 persist_swaps = yes
@@ -138,7 +137,7 @@ dir = elsewhere
         ),
         noise=NoiseConfig(kind="antisymmetric", epsilon=0.3, seed=6, noise_modelsel=True),
         train=TrainConfig(
-            algo="coteaching", lr=0.1, t_max=5, t_k=4, batch_size=16, n_max=9, tau_f=0.3,
+            algo="coteaching", lr=0.1, t_max=5, t_k=4, batch_size=16, tau_f=0.3,
             swap_rate=0.2, swap_mode="one_minus_r", persist_swaps=True, seed=8,
         ),
         network="conv(4,3,1) lrelu(0.2) dense(400,2)",
@@ -176,11 +175,12 @@ def test_cli_rejects_field_names_that_are_not_keys(tmp_path, text):
     [
         "[train]\nshuffle_seed = 3\n",
         "[output]\nformats = csv,json\n",
+        "[train]\nn_max = 9\n",
     ],
-    ids=["shuffle_seed", "formats"],
+    ids=["shuffle_seed", "formats", "n_max"],
 )
 def test_cli_rejects_removed_keys(tmp_path, text):
-    # keys that older configs carried; neither is a field any more
+    # keys that older configs carried; none is a field any more
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text)
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -327,6 +327,19 @@ def test_compare_rejects_mismatched_eval_scenes(tmp_path):
 def test_load_report_missing_files(tmp_path):
     with pytest.raises(DataError):
         load_report(str(tmp_path))
+
+
+@pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not_json", "empty_object"])
+def test_cli_compare_malformed_summary_exit_3(tmp_path, text):
+    run_experiment(tiny_cfg(), out_dir=str(tmp_path / "a"))
+    summary = tmp_path / "a" / "summary.json"
+    summary.write_text(text)
+    with pytest.raises(DataError, match="summary.json"):
+        load_report(str(tmp_path / "a"))
+    proc = run_cli(["compare", str(tmp_path / "a")])
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr and str(summary) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +559,11 @@ def test_cli_sweep(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s" / "sweep_summary.csv").exists()
+
+
+def test_cli_sweep_bad_grid_value_exit_2(tmp_path):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(TINY)
+    proc = run_cli(["sweep", str(cfg_path), "--grid", "epsilon=abc", "--out", str(tmp_path / "s")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr

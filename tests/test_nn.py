@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from canclab import (
-    Batch,
     ConfigError,
     Conv,
     Dense,
     LeakyRelu,
     NetworkSpec,
     NumericError,
+    canc_iteration,
     init_network,
     loss_and_gradients,
     parse_layers,
@@ -40,7 +40,7 @@ def rand_batch(spec, n=4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n, spec.input_size, spec.input_size, spec.channels))
     y = rng.integers(0, 2, size=n)
-    return Batch(x, y)
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +81,6 @@ def test_layer_plan_rejects_oversized_kernel():
         NetworkSpec(input_size=4, channels=1, layers=parse_layers("conv(2,5,1) dense(2,2)"))
 
 
-def test_spec_roundtrips_through_string():
-    spec = tiny_spec()
-    assert parse_layers(spec.to_string()) == spec.layers
-
-
 # ---------------------------------------------------------------------------
 # init
 
@@ -124,8 +119,7 @@ def test_loss_is_ln2_at_equal_logits():
     # zero-initialized network produces equal logits for every sample
     spec = NetworkSpec(input_size=12, channels=1, layers=tiny_spec().layers, init="zeros")
     net = init_network(spec)
-    batch = rand_batch(tiny_spec())
-    losses = per_sample_loss(net, batch)
+    losses = per_sample_loss(net, *rand_batch(tiny_spec()))
     assert np.all(losses == math.log(2.0))
 
 
@@ -150,23 +144,23 @@ def test_loss_matches_naive_softmax_ce():
 def test_predict_tie_goes_to_class_zero():
     spec = NetworkSpec(input_size=12, channels=1, layers=tiny_spec().layers, init="zeros")
     net = init_network(spec)
-    batch = rand_batch(tiny_spec(), n=3)
-    assert np.all(predict(net, batch.x) == 0)
+    x, _ = rand_batch(tiny_spec(), n=3)
+    assert np.all(predict(net, x) == 0)
 
 
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 
 
-def _loss_of(net, batch):
-    logits, _ = _forward(net, batch.x)
-    return float(_per_sample_ce(logits, batch.y).mean())
+def _loss_of(net, x, y):
+    logits, _ = _forward(net, x)
+    return float(_per_sample_ce(logits, y).mean())
 
 
 def _max_rel_err(spec, n=4, data_seed=0):
     net = init_network(spec)
-    batch = rand_batch(spec, n=n, seed=data_seed)
-    _, grads = loss_and_gradients(net, batch)
+    x, y = rand_batch(spec, n=n, seed=data_seed)
+    _, grads = loss_and_gradients(net, x, y)
     h = 1e-5
     worst = 0.0
     for p, (dw, db) in enumerate(grads):
@@ -174,9 +168,9 @@ def _max_rel_err(spec, n=4, data_seed=0):
             for idx in np.ndindex(*arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = _loss_of(net, batch)
+                lp = _loss_of(net, x, y)
                 arr[idx] = orig - h
-                lm = _loss_of(net, batch)
+                lm = _loss_of(net, x, y)
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
@@ -212,8 +206,7 @@ def test_gradients_stride_remainder():
 
 def test_sgd_step_zero_lr_is_identity():
     net = init_network(tiny_spec())
-    batch = rand_batch(tiny_spec())
-    stepped = sgd_step(net, batch, 0.0)
+    stepped = sgd_step(net, *rand_batch(tiny_spec()), 0.0)
     for (w0, b0), (w1, b1) in zip(net.params, stepped.params):
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
@@ -221,23 +214,23 @@ def test_sgd_step_zero_lr_is_identity():
 def test_sgd_step_negative_lr_rejected():
     net = init_network(tiny_spec())
     with pytest.raises(ConfigError):
-        sgd_step(net, rand_batch(tiny_spec()), -0.1)
+        sgd_step(net, *rand_batch(tiny_spec()), -0.1)
 
 
 def test_sgd_step_decreases_loss():
     net = init_network(tiny_spec(seed=2))
-    batch = rand_batch(tiny_spec(), n=8, seed=9)
-    before = float(per_sample_loss(net, batch).mean())
+    x, y = rand_batch(tiny_spec(), n=8, seed=9)
+    before = float(per_sample_loss(net, x, y).mean())
     for _ in range(20):
-        net = sgd_step(net, batch, 0.5)
-    after = float(per_sample_loss(net, batch).mean())
+        net = sgd_step(net, x, y, 0.5)
+    after = float(per_sample_loss(net, x, y).mean())
     assert after < before
 
 
 def test_sgd_step_does_not_mutate_input_network():
     net = init_network(tiny_spec())
     snapshot = [(w.copy(), b.copy()) for w, b in net.params]
-    sgd_step(net, rand_batch(tiny_spec()), 0.7)
+    sgd_step(net, *rand_batch(tiny_spec()), 0.7)
     for (w0, b0), (w1, b1) in zip(snapshot, net.params):
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
@@ -271,19 +264,19 @@ def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
     n_keep = (3 * b) // 5
     keep, flip = order[:n_keep], order[n_keep : max(n_keep + 1, (4 * b) // 5)]
     rows = np.concatenate([keep, flip])
-    batch = Batch(x[rows], np.concatenate([y[keep], 1 - y[flip]]))
-    got = sgd_step(net, batch, 0.05)
+    peer_x, peer_y = x[rows], np.concatenate([y[keep], 1 - y[flip]])
+    got = sgd_step(net, peer_x, peer_y, 0.05)
     monkeypatch.setattr(nn, "_backward", full_backward)
-    want = sgd_step(net, batch, 0.05)
+    want = sgd_step(net, peer_x, peer_y, 0.05)
     for (gw, gb), (ow, ob) in zip(got.params, want.params):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
 
 
 def test_swap_logits_inverts_predictions_and_leaves_input():
     net = init_network(tiny_spec(seed=3))
-    net = sgd_step(net, rand_batch(tiny_spec(), n=8, seed=5), 0.5)  # nonzero biases
+    net = sgd_step(net, *rand_batch(tiny_spec(), n=8, seed=5), 0.5)  # nonzero biases
     snapshot = [(w.copy(), b.copy()) for w, b in net.params]
-    x = rand_batch(tiny_spec(), n=64, seed=4).x
+    x, _ = rand_batch(tiny_spec(), n=64, seed=4)
     pred = predict(net, x)
     assert 0 < pred.sum() < len(pred)  # both classes occur
     twin = swap_logits(net)
@@ -301,13 +294,36 @@ def test_non_finite_activation_raises_with_layer_index():
 
     broken = replace(net, params=((bad_w, net.params[0][1]),) + net.params[1:])
     with pytest.raises(NumericError) as err:
-        per_sample_loss(broken, rand_batch(tiny_spec()))
+        per_sample_loss(broken, *rand_batch(tiny_spec()))
     assert err.value.layer == 0
 
 
-def test_batch_validation():
-    x = np.zeros((4, 12, 12, 1))
+ENTRY_POINTS = {
+    "canc_iteration": lambda net, x, y: canc_iteration(net, net, x, y, 1.0, 0.0, 0.1),
+    "per_sample_loss": per_sample_loss,
+    "loss_and_gradients": loss_and_gradients,
+    "sgd_step": lambda net, x, y: sgd_step(net, x, y, 0.1),
+}
+BAD_INPUTS = {
+    "not_4d": (np.zeros((4, 12, 12)), np.zeros(4, dtype=np.int64)),
+    "wrong_spatial": (np.zeros((4, 10, 12, 1)), np.zeros(4, dtype=np.int64)),
+    "wrong_channels": (np.zeros((4, 12, 12, 2)), np.zeros(4, dtype=np.int64)),
+    "empty": (np.zeros((0, 12, 12, 1)), np.zeros(0, dtype=np.int64)),
+    "labels_short": (np.zeros((4, 12, 12, 1)), np.zeros(3, dtype=np.int64)),
+    "labels_2d": (np.zeros((4, 12, 12, 1)), np.zeros((4, 1), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_bad_input(entry, case):
     with pytest.raises(ValueError):
-        Batch(x, np.zeros(3, dtype=np.int64))  # label length mismatch
-    with pytest.raises(ValueError):
-        Batch(np.zeros((4, 12, 12)), np.zeros(4, dtype=np.int64))  # not 4d
+        ENTRY_POINTS[entry](init_network(tiny_spec()), *BAD_INPUTS[case])
+
+
+def test_predict_input_contract():
+    net = init_network(tiny_spec())
+    assert predict(net, np.zeros((2, 12, 12, 1), dtype=np.float32)).tolist() == [0, 0]
+    for case in ("not_4d", "wrong_spatial", "wrong_channels", "empty"):
+        with pytest.raises(ValueError):
+            predict(net, BAD_INPUTS[case][0])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from canclab import (
-    Batch,
     ConfigError,
     MaskDataset,
     NetworkSpec,
@@ -38,7 +37,7 @@ def rand_batch(n=10, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, size=(n, 8, 8, 1))
     y = rng.integers(0, 2, size=n)
-    return Batch(x, y)
+    return x, y
 
 
 def toy_dataset(n=64, seed=0, noisy=False):
@@ -191,24 +190,22 @@ def test_flip_labels_out_of_range():
 def test_canc_iteration_counts():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
-    batch = rand_batch(n=10, seed=3)
-    _, _, diag = canc_iteration(m1, m2, batch, r=0.6, s=0.2, lr=0.1)
+    x, y = rand_batch(n=10, seed=3)
+    _, _, diag = canc_iteration(m1, m2, x, y, r=0.6, s=0.2, lr=0.1)
     assert len(diag.clean_for_m2) == 6 and len(diag.swap_for_m2) == 2
     assert len(diag.clean_for_m1) == 6 and len(diag.swap_for_m1) == 2
 
 
-def manual_update(selector_net, updated_net, batch, r, s, lr):
+def manual_update(selector_net, updated_net, x, y, r, s, lr):
     """The peer update spelled out: rank losses, pick clean + swap sets,
     flip the swap labels, concatenate, take one SGD step."""
-    losses = per_sample_loss(selector_net, batch)
+    losses = per_sample_loss(selector_net, x, y)
     clean = select_clean(losses, r)
     swap = select_swap(losses, s)
-    flipped = flip_labels(batch.y, swap)
-    union = Batch(
-        np.concatenate([batch.x[clean], batch.x[swap]]),
-        np.concatenate([batch.y[clean], flipped[swap]]),
-    )
-    return sgd_step(updated_net, union, lr)
+    flipped = flip_labels(y, swap)
+    union_x = np.concatenate([x[clean], x[swap]])
+    union_y = np.concatenate([y[clean], flipped[swap]])
+    return sgd_step(updated_net, union_x, union_y, lr)
 
 
 def test_canc_iteration_matches_manual_assembly_oracle():
@@ -216,13 +213,13 @@ def test_canc_iteration_matches_manual_assembly_oracle():
     flip the swap labels, concatenate, take one SGD step."""
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
-    batch = rand_batch(n=12, seed=4)
+    x, y = rand_batch(n=12, seed=4)
     r, s, lr = 0.5, 0.25, 0.2
 
-    m1_new, m2_new, _ = canc_iteration(m1, m2, batch, r, s, lr)
+    m1_new, m2_new, _ = canc_iteration(m1, m2, x, y, r, s, lr)
 
-    oracle_m2 = manual_update(m1, m2, batch, r, s, lr)
-    oracle_m1 = manual_update(m2, m1, batch, r, s, lr)
+    oracle_m2 = manual_update(m1, m2, x, y, r, s, lr)
+    oracle_m1 = manual_update(m2, m1, x, y, r, s, lr)
     for got, want in ((m2_new, oracle_m2), (m1_new, oracle_m1)):
         for (wg, bg), (ww, bw) in zip(got.params, want.params):
             assert np.allclose(wg, ww, rtol=1e-12, atol=0)
@@ -246,7 +243,7 @@ def test_canc_iteration_forwards_ranked_batch_and_peer_rows_once(monkeypatch):
     m1 = init_network(replace(spec, seed=1))
     m2 = init_network(replace(spec, seed=2))
     rng = np.random.default_rng(8)
-    batch = Batch(rng.uniform(0, 1, size=(64, 32, 32, 1)), rng.integers(0, 2, size=64))
+    x, y = rng.uniform(0, 1, size=(64, 32, 32, 1)), rng.integers(0, 2, size=64)
     r, s, lr = 0.3, 0.1, 0.05
 
     rows_seen = []
@@ -258,19 +255,19 @@ def test_canc_iteration_forwards_ranked_batch_and_peer_rows_once(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(nn, "_forward", counting_forward)
-        m1_new, m2_new, _ = canc_iteration(m1, m2, batch, r, s, lr)
+        m1_new, m2_new, _ = canc_iteration(m1, m2, x, y, r, s, lr)
     # two rank forwards, then each peer's 19 clean + 6 swapped rows
     assert rows_seen == [64, 64, 25, 25]
-    assert params_equal(m2_new, manual_update(m1, m2, batch, r, s, lr))
-    assert params_equal(m1_new, manual_update(m2, m1, batch, r, s, lr))
+    assert params_equal(m2_new, manual_update(m1, m2, x, y, r, s, lr))
+    assert params_equal(m1_new, manual_update(m2, m1, x, y, r, s, lr))
 
 
 def test_canc_s_zero_bitwise_equals_coteaching_iteration():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
-    batch = rand_batch(n=10, seed=5)
-    a1, a2, _ = canc_iteration(m1, m2, batch, r=0.7, s=0.0, lr=0.3)
-    b1, b2, _ = coteaching_iteration(m1, m2, batch, r=0.7, s=0.0, lr=0.3)
+    x, y = rand_batch(n=10, seed=5)
+    a1, a2, _ = canc_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
+    b1, b2, _ = coteaching_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
     assert params_equal(a1, b1) and params_equal(a2, b2)
 
 
@@ -278,16 +275,16 @@ def test_cross_update_direction():
     """M1 must be changed only by M2's selection and vice versa."""
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
-    batch = rand_batch(n=10, seed=6)
-    losses_1 = per_sample_loss(m1, batch)
-    losses_2 = per_sample_loss(m2, batch)
-    new1, new2, _ = coteaching_iteration(m1, m2, batch, r=0.5, s=0.0, lr=0.1)
+    x, y = rand_batch(n=10, seed=6)
+    losses_1 = per_sample_loss(m1, x, y)
+    losses_2 = per_sample_loss(m2, x, y)
+    new1, new2, _ = coteaching_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
 
     sel2 = select_clean(losses_2, 0.5)
-    expect1 = sgd_step(m1, Batch(batch.x[sel2], batch.y[sel2]), 0.1)
+    expect1 = sgd_step(m1, x[sel2], y[sel2], 0.1)
     assert params_equal(new1, expect1)
     sel1 = select_clean(losses_1, 0.5)
-    expect2 = sgd_step(m2, Batch(batch.x[sel1], batch.y[sel1]), 0.1)
+    expect2 = sgd_step(m2, x[sel1], y[sel1], 0.1)
     assert params_equal(new2, expect2)
     # and the selections genuinely differ between the two networks here
     assert sel1.tolist() != sel2.tolist()
@@ -297,16 +294,17 @@ def test_canc_iteration_rejects_overflowing_swap():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     with pytest.raises(ConfigError):
-        canc_iteration(m1, m2, rand_batch(), r=0.8, s=0.5, lr=0.1)
+        canc_iteration(m1, m2, *rand_batch(), r=0.8, s=0.5, lr=0.1)
 
 
-def test_canc_iteration_overlap_mode_swap_wins():
-    m1 = init_network(replace(SPEC, seed=1))
-    m2 = init_network(replace(SPEC, seed=2))
-    batch = rand_batch(n=10, seed=7)
-    _, _, diag = canc_iteration(m1, m2, batch, r=0.8, s=0.5, lr=0.1, allow_overlap=True)
-    assert not set(diag.clean_for_m2.tolist()) & set(diag.swap_for_m2.tolist())
-    assert len(diag.swap_for_m2) == 5
+def test_canc_iteration_loss_ties_swap_wins():
+    # zero weights give every row the loss ln 2: at r = s = 0.5 the lowest
+    # five and the highest five indices are both rows 0-4, the swap keeps
+    # them and the clean set falls back to its one-row floor, row 5
+    zeros = init_network(replace(SPEC, init="zeros"))
+    _, _, diag = canc_iteration(zeros, zeros, *rand_batch(n=10, seed=7), r=0.5, s=0.5, lr=0.1)
+    assert diag.clean_for_m2.tolist() == [5]
+    assert diag.swap_for_m2.tolist() == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +335,35 @@ def test_train_config_validation():
 
 def test_train_single_iteration_layout():
     ds = toy_dataset(n=32, seed=1)
-    cfg = base_config(algo="coteaching", t_max=1, n_max=1, batch_size=32, swap_rate=0.0)
+    cfg = base_config(algo="coteaching", t_max=1, batch_size=32, swap_rate=0.0)
     result = train(ds, ds, SPEC, cfg)
     assert len(result.records) == 1
     assert result.records[0].epoch == 0
     assert result.records[0].remember_rate == 1.0
     assert result.records[0].n_clean == 2 * 32  # both networks, full batch at R=1
     assert result.best_epoch == 0
+
+
+def test_train_feeds_every_row_once_per_epoch(monkeypatch):
+    # n = 50 at B = 16: three full batches and a last one of 2 rows, each
+    # epoch one permutation of all 50 rows
+    ds = toy_dataset(n=50, seed=1)
+    fed = []
+    real_step = training.sgd_step
+
+    def recording_step(net, x, y, lr):
+        fed.append(x)
+        return real_step(net, x, y, lr)
+
+    monkeypatch.setattr(training, "sgd_step", recording_step)
+    result = train(ds, ds, SPEC, base_config(algo="vanilla", t_max=3, batch_size=16))
+    assert [len(x) for x in fed] == [16, 16, 16, 2] * 3
+    assert [rec.n_clean for rec in result.records] == [50, 50, 50]
+    row_of = {ds.patches[i].tobytes(): i for i in range(len(ds))}
+    assert len(row_of) == 50  # every patch tells its row
+    for epoch in range(3):
+        rows = [row_of[p.tobytes()] for x in fed[4 * epoch : 4 * epoch + 4] for p in x]
+        assert sorted(rows) == list(range(50))
 
 
 def test_train_determinism():
