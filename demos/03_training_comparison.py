@@ -8,14 +8,12 @@ Run from the repository root:
 import numpy as np
 
 from canclab import (
-    NetworkSpec,
     SceneGenParams,
     TrainConfig,
     build_mask_dataset,
     generate_scene,
     inject,
     make_transition,
-    parse_layers,
     train,
 )
 from canclab.data import split_dataset
@@ -32,15 +30,12 @@ tr = inject(tr, make_transition("symmetric", 0.35), seed=1)
 print(f"train {tr.labels.size} masks ({np.mean(tr.labels != tr.clean_labels):.3f} flipped), "
       f"modelsel {ms.labels.size}, eval {ev.labels.size}")
 
-spec = NetworkSpec(input_size=16, channels=1,
-                   layers=parse_layers("conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)"))
-
 for algo in ("vanilla", "coteaching", "canc"):
     cfg = TrainConfig(
-        algo=algo, lr=0.05, t_max=30, t_k=8, batch_size=32,
-        tau_f=0.35, swap_rate=0.1, seed=2,
+        algo=algo, network="conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)",
+        lr=0.05, t_max=30, t_k=8, batch_size=32, tau_f=0.35, swap_rate=0.1, seed=2,
     )
-    res = train(tr, ms, spec, cfg)
+    res = train(tr, ms, cfg)
     last = res.records[-1]
     print(f"\n{algo}")
     print(f"  best modelsel accuracy {res.best_accuracy:.4f} at epoch {res.best_epoch}")

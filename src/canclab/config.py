@@ -1,18 +1,10 @@
 """Experiment configuration: a sectioned INI file parsed into typed configs.
 
-Each section's keys are the field names of its config class ([data]
-DataConfig, [noise] NoiseConfig, [train] TrainConfig, [output]
+Each section's keys are exactly the field names of its config class
+([data] DataConfig, [noise] NoiseConfig, [train] TrainConfig, [output]
 OutputConfig), and a key left out keeps the field's default. A value is read
 as the type of that default: bool, int, float, str, or a comma-separated
-tuple of the same length and element types. Three keys name no field of
-their section's class:
-
-  [noise] type                          sets NoiseConfig.kind
-  [train] network                       sets ExperimentConfig.network
-  [train] ablation_s_equals_1_minus_r   true sets TrainConfig.swap_mode
-                                        to one_minus_r
-
-The fields kind and swap_mode are not keys. All randomness flows from the
+tuple of the same length and element types. All randomness flows from the
 three seeds (data, noise, train); train() fans [train] seed out into a
 shuffle seed and two init seeds. A relative [data] path resolves against
 the config file's directory. Unknown sections or keys are configuration
@@ -23,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 from .data import SceneGenParams
 from .errors import ConfigError
@@ -67,14 +59,14 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    kind: str = "none"
+    type: str = "none"
     epsilon: float = 0.0
     seed: int = 1
     noise_modelsel: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("none", "symmetric", "antisymmetric"):
-            raise ConfigError(f"noise type must be none/symmetric/antisymmetric, got {self.kind!r}")
+        if self.type not in ("none", "symmetric", "antisymmetric"):
+            raise ConfigError(f"noise type must be none/symmetric/antisymmetric, got {self.type!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0,1]")
 
@@ -89,35 +81,12 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_DEFAULT = ExperimentConfig()
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
-# fields no key of their own name sets: kind is [noise] type, swap_mode
-# is derived from [train] ablation_s_equals_1_minus_r
-_NOT_KEYS = ("kind", "swap_mode")
-# the keys that name no field of their section's class, with their defaults
-_EXTRA_KEYS = {
-    "noise": {"type": _DEFAULT.noise.kind},
-    "train": {"network": _DEFAULT.network, "ablation_s_equals_1_minus_r": False},
-}
-
-
-def _keys(section: str) -> dict:
-    """Key -> default for one section, a field of ExperimentConfig that
-    holds a config class."""
-    obj = getattr(_DEFAULT, section)
-    keys = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in _NOT_KEYS}
-    return {**keys, **_EXTRA_KEYS.get(section, {})}
-
-
-_KEYS = {
-    f.name: _keys(f.name)
-    for f in fields(ExperimentConfig)
-    if is_dataclass(getattr(_DEFAULT, f.name))
-}
+# section -> key -> default, one key per field of the section's class
+_KEYS = asdict(ExperimentConfig())
 
 
 def _convert(text: str, default, where: str):
@@ -159,20 +128,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     data = values.get("data", {})
     if data.get("path") and not os.path.isabs(data["path"]):
         data["path"] = os.path.join(base_dir, data["path"])
-    noise = values.get("noise", {})
-    if "type" in noise:
-        noise["kind"] = noise.pop("type")
-    train = values.get("train", {})
-    network = train.pop("network", _DEFAULT.network)
-    if train.pop("ablation_s_equals_1_minus_r", False):
-        train["swap_mode"] = "one_minus_r"
-
     cfg = ExperimentConfig(
-        data=DataConfig(**data),
-        noise=NoiseConfig(**noise),
-        train=TrainConfig(**train),
-        network=network,
-        output=OutputConfig(**values.get("output", {})),
+        **{f.name: f.default_factory(**values.get(f.name, {})) for f in fields(ExperimentConfig)}
     )
     if cfg.data.source == "file" and not os.path.isfile(cfg.data.path):
         raise ConfigError(f"[data] path does not exist: {cfg.data.path}")

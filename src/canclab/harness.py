@@ -33,7 +33,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
-from .nn import NetworkSpec, parse_layers
 from .noise import make_transition, inject
 from .training import TrainResult, predict_dataset, train
 from .version import __version__
@@ -67,6 +66,7 @@ class RunReport:
     name: str
     out_dir: str
     config_echo: dict
+    setting: dict  # the algo, noise and epsilon compare_runs labels it by
     files: dict
     counts: dict
     best_epoch: int
@@ -121,8 +121,8 @@ def _build_split_noise(cfg: ExperimentConfig):
             )
     train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
 
-    if cfg.noise.kind != "none":
-        t = make_transition(cfg.noise.kind, cfg.noise.epsilon)
+    if cfg.noise.type != "none":
+        t = make_transition(cfg.noise.type, cfg.noise.epsilon)
         train_ds = inject(train_ds, t, np.random.SeedSequence((cfg.noise.seed, 0)))
         if cfg.noise.noise_modelsel:
             modelsel_ds = inject(modelsel_ds, t, np.random.SeedSequence((cfg.noise.seed, 1)))
@@ -136,31 +136,50 @@ def prepare_data(cfg: ExperimentConfig):
     return _build_split_noise(cfg)[1:]
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "data": asdict(cfg.data),
-        "noise": asdict(cfg.noise),
-        "train": asdict(cfg.train),
-        "output": asdict(cfg.output),
-        "network": cfg.network,
-    }
-    echo["noise"]["type"] = echo["noise"].pop("kind")
-    return echo
+def _csv(columns, rows) -> str:
+    """A header line of columns, then each row's values in that order."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _epochs_csv(result: TrainResult) -> str:
     """One row per (epoch, split); each column is the record's field or
     the split's metric of that name."""
-    lines = [",".join(EPOCH_CSV_COLUMNS)]
-    for rec in result.records:
-        for split, m in (("train", rec.train_metrics), ("modelsel", rec.modelsel_metrics)):
-            row = {**vars(rec), **asdict(m), "split": split}
-            lines.append(",".join(str(row[col]) for col in EPOCH_CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = [
+        {**vars(rec), **asdict(m), "split": split}
+        for rec in result.records
+        for split, m in (("train", rec.train_metrics), ("modelsel", rec.modelsel_metrics))
+    ]
+    return _csv(EPOCH_CSV_COLUMNS, rows)
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _report(summary, run_dir: str, ious, wall_time: float = math.nan) -> RunReport:
+    """The report of a run from its summary.json and sp_iou.json contents.
+    Raises AttributeError, KeyError or TypeError when a field is missing."""
+    config = summary["config"]
+    return RunReport(
+        name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
+        out_dir=run_dir,
+        config_echo=config,
+        setting={
+            "algo": config["train"]["algo"],
+            "noise": config["noise"]["type"],
+            "epsilon": config["noise"]["epsilon"],
+        },
+        files=summary["files"],
+        counts=summary["counts"],
+        best_epoch=summary["best"]["epoch"],
+        best_accuracy=summary["best"]["modelsel_accuracy"],
+        final_metrics=summary["final_metrics"],
+        scene_ious=tuple(ious),
+        wall_time=wall_time,
+        version=summary.get("version", "unknown"),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None) -> RunReport:
@@ -170,9 +189,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     os.makedirs(out, exist_ok=True)
 
     train_ds, modelsel_ds, eval_ds = prepare_data(cfg)
-    # the masks say their shape: a file source's may differ from [data] m
-    spec = NetworkSpec(train_ds.m, train_ds.channels, parse_layers(cfg.network))
-    result = train(train_ds, modelsel_ds, spec, cfg.train)
+    result = train(train_ds, modelsel_ds, cfg.train)
 
     # the best epoch's record already scored the best network on train and
     # modelsel; only the eval split is predicted here
@@ -207,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
         # name comes from the config, never the resolved path, so reruns
         # into a different directory still produce identical bytes
         "name": name or os.path.basename(os.path.normpath(cfg.output.dir)),
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "counts": counts,
         "best": {
             "epoch": result.best_epoch,
@@ -218,19 +235,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
         "files": files,
     }
     _write_atomic(os.path.join(out, files["summary_json"]), _json_dumps(summary))
-
-    return RunReport(
-        name=summary["name"],
-        out_dir=out,
-        config_echo=summary["config"],
-        files=files,
-        counts=counts,
-        best_epoch=result.best_epoch,
-        best_accuracy=result.best_accuracy,
-        final_metrics=final,
-        scene_ious=tuple(ious),
-        wall_time=time.monotonic() - started,
-    )
+    return _report(summary, out, ious, wall_time=time.monotonic() - started)
 
 
 def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
@@ -294,16 +299,17 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
     root = resolve_out_dir(cfg.output.dir, out_dir)
     os.makedirs(root, exist_ok=True)
 
-    axes = [("algo", grid.get("algo", [cfg.train.algo])),
-            ("noise", grid.get("noise", [cfg.noise.kind])),
-            ("epsilon", grid.get("epsilon", [cfg.noise.epsilon]))]
     rows = []
-    for algo, kind, eps in itertools.product(*(v for _, v in axes)):
-        cell = f"{algo}_{kind}_eps{eps:g}"
+    for algo, noise, eps in itertools.product(
+        grid.get("algo", [cfg.train.algo]),
+        grid.get("noise", [cfg.noise.type]),
+        grid.get("epsilon", [cfg.noise.epsilon]),
+    ):
+        cell = f"{algo}_{noise}_eps{eps:g}"
         cell_cfg = replace(
             cfg,
             train=replace(cfg.train, algo=algo),
-            noise=replace(cfg.noise, kind=kind, epsilon=eps),
+            noise=replace(cfg.noise, type=noise, epsilon=eps),
             output=replace(cfg.output, dir=os.path.join(root, cell)),
         )
         report = run_experiment(cell_cfg, name=cell)
@@ -311,7 +317,7 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
             {
                 "cell": cell,
                 "algo": algo,
-                "noise": kind,
+                "noise": noise,
                 "epsilon": eps,
                 "best_modelsel_accuracy": report.best_accuracy,
                 "eval_accuracy": report.final_metrics["eval"]["accuracy"],
@@ -319,13 +325,7 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
                 "eval_sp_iou_mean": report.final_metrics["eval"]["sp_iou_mean"],
             }
         )
-
-    header = ["cell", "algo", "noise", "epsilon", "best_modelsel_accuracy",
-              "eval_accuracy", "eval_f1", "eval_sp_iou_mean"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in header))
-    _write_atomic(os.path.join(root, "sweep_summary.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(root, "sweep_summary.csv"), _csv(list(rows[0]), rows))
     summary = {"version": __version__, "grid": grid_text, "rows": rows}
     _write_atomic(os.path.join(root, "sweep_summary.json"), _json_dumps(summary))
     return summary
@@ -346,19 +346,7 @@ def load_report(run_dir: str) -> RunReport:
                 raise DataError(f"report file {path} is not valid JSON: {exc}") from exc
     summary, ious = loaded
     try:
-        return RunReport(
-            name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
-            out_dir=run_dir,
-            config_echo=summary["config"],
-            files=summary["files"],
-            counts=summary["counts"],
-            best_epoch=summary["best"]["epoch"],
-            best_accuracy=summary["best"]["modelsel_accuracy"],
-            final_metrics=summary["final_metrics"],
-            scene_ious=tuple(ious),
-            wall_time=math.nan,
-            version=summary.get("version", "unknown"),
-        )
+        return _report(summary, run_dir, ious)
     except (AttributeError, KeyError, TypeError) as exc:
         raise DataError(f"report file {spath} is not a run summary: {exc!r}") from exc
 
@@ -398,9 +386,7 @@ def compare_runs(reports) -> dict:
         "runs": [
             {
                 "name": rname,
-                "algo": rep.config_echo["train"]["algo"],
-                "noise": rep.config_echo["noise"]["type"],
-                "epsilon": rep.config_echo["noise"]["epsilon"],
+                **rep.setting,
                 "best_modelsel_accuracy": rep.best_accuracy,
                 "final_metrics": rep.final_metrics,
             }

@@ -32,8 +32,6 @@ class NoiseTransition:
     """A validated column-stochastic transition matrix."""
 
     matrix: np.ndarray
-    kind: str = "custom"
-    epsilon: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.matrix, dtype=np.float64)
@@ -58,7 +56,7 @@ def symmetric_matrix(n_classes: int, epsilon: float) -> NoiseTransition:
     off = epsilon / (n_classes - 1)
     t = np.full((n_classes, n_classes), off, dtype=np.float64)
     np.fill_diagonal(t, 1.0 - epsilon)
-    return NoiseTransition(matrix=t, kind="symmetric", epsilon=epsilon)
+    return NoiseTransition(matrix=t)
 
 
 def antisymmetric_matrix(epsilon: float) -> NoiseTransition:
@@ -66,7 +64,7 @@ def antisymmetric_matrix(epsilon: float) -> NoiseTransition:
     class 1 is never corrupted."""
     _check_rate(epsilon, 2)
     t = np.array([[1.0 - epsilon, 0.0], [epsilon, 1.0]], dtype=np.float64)
-    return NoiseTransition(matrix=t, kind="antisymmetric", epsilon=epsilon)
+    return NoiseTransition(matrix=t)
 
 
 def make_transition(kind: str, epsilon: float, n_classes: int = 2) -> NoiseTransition:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import Network, NetworkSpec, init_network, per_sample_loss, predict, sgd_step, swap_logits
+from .nn import (Network, NetworkSpec, init_network, parse_layers, per_sample_loss, predict,
+                 sgd_step, swap_logits)
 
 __all__ = [
     "TrainConfig",
@@ -48,30 +49,31 @@ __all__ = [
 ]
 
 ALGORITHMS = ("vanilla", "coteaching", "canc")
-SWAP_MODES = ("fixed", "one_minus_r")
 _PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run needs besides the data and architecture."""
+    """Everything a training run needs besides the data: the algorithm, its
+    schedule, and the network's layer list. The masks give the network its
+    input shape, so a layer list that cannot fit them fails in train()."""
 
     algo: str = "canc"
+    network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
     lr: float = 0.05
     t_max: int = 30
     t_k: int = 10
     batch_size: int = 64
     tau_f: float = 0.45
     swap_rate: float = 0.05
-    swap_mode: str = "fixed"
+    ablation_s_equals_1_minus_r: bool = False  # S = 1 - R(T) in place of swap_rate
     persist_swaps: bool = False
     seed: int = 2  # fans out into the shuffle and two init seeds
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}, expected one of {ALGORITHMS}")
-        if self.swap_mode not in SWAP_MODES:
-            raise ConfigError(f"unknown swap mode {self.swap_mode!r}")
+        parse_layers(self.network)
         if self.lr < 0:
             raise ConfigError("learning rate must be >= 0")
         if self.t_max < 1 or self.t_k < 1:
@@ -83,8 +85,9 @@ class TrainConfig:
         if not 0.0 <= self.swap_rate <= 1.0:
             raise ConfigError("swap_rate must be in [0,1]")
         # keeps clean and swap sets disjoint even once R bottoms out at
-        # 1 - tau_f; the one_minus_r ablation pins S to the schedule instead
-        if self.algo == "canc" and self.swap_mode == "fixed" and self.swap_rate > self.tau_f:
+        # 1 - tau_f; the ablation pins S to the schedule instead
+        fixed_s = not self.ablation_s_equals_1_minus_r
+        if self.algo == "canc" and fixed_s and self.swap_rate > self.tau_f:
             raise ConfigError(
                 f"swap_rate {self.swap_rate} must not exceed tau_f {self.tau_f}"
             )
@@ -249,14 +252,13 @@ def derive_train_seeds(seed: int) -> tuple:
     return tuple(int(x) for x in state)
 
 
-def train(
-    train_ds: MaskDataset,
-    modelsel_ds: MaskDataset,
-    net_spec: NetworkSpec,
-    config: TrainConfig,
-) -> TrainResult:
+def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) -> TrainResult:
     """Run one training job and return the best snapshot by model-selection
     accuracy plus all epoch records.
+
+    The networks are config.network sized to the training masks' side and
+    channel count, with the default init; a layer list that does not fit
+    them is a ConfigError.
 
     vanilla trains one network on every label as given. coteaching and canc
     train two networks that cross-teach through canc_iteration; coteaching
@@ -280,9 +282,10 @@ def train(
     shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    nets = [init_network(replace(net_spec, seed=init_seed_1))]
+    spec = NetworkSpec(train_ds.m, train_ds.channels, parse_layers(config.network))
+    nets = [init_network(replace(spec, seed=init_seed_1))]
     if config.algo != "vanilla":
-        nets.append(init_network(replace(net_spec, seed=init_seed_2)))
+        nets.append(init_network(replace(spec, seed=init_seed_2)))
 
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
@@ -293,7 +296,7 @@ def train(
         r = remember_rate(epoch, config.t_k, config.tau_f)
         if config.algo != "canc":
             s_eff = 0.0
-        elif config.swap_mode == "one_minus_r":
+        elif config.ablation_s_equals_1_minus_r:
             s_eff = 1.0 - r
         else:
             s_eff = min(config.swap_rate, 1.0 - r)

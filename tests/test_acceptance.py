@@ -157,15 +157,11 @@ def _tiny_dataset(seed=3, n_scenes=4, size=128, m=16):
 
 def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
     ds = _tiny_dataset()
-    spec = NetworkSpec(
-        input_size=16,
-        channels=1,
-        layers=parse_layers("conv(3,3,2) lrelu(0.1) dense(147,2)"),
-    )
     results = {}
     for algo in ("coteaching", "canc"):
         cfg = TrainConfig(
             algo=algo,
+            network="conv(3,3,2) lrelu(0.1) dense(147,2)",
             lr=0.05,
             t_max=4,
             t_k=2,
@@ -179,7 +175,7 @@ def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
             # canc_iteration, so the check never compares a function with itself
             if algo == "coteaching":
                 mp.setattr(training, "canc_iteration", coteaching_iteration)
-            results[algo] = train(ds, ds, spec, cfg)
+            results[algo] = train(ds, ds, cfg)
     a, b = results["coteaching"], results["canc"]
     ok = repr(a.records) == repr(b.records)
     for net_a, net_b in zip(a.final_networks, b.final_networks):
@@ -223,14 +219,12 @@ def test_criterion_08_noise_robustness_trends():
     ):
         cfg = replace(
             base,
-            noise=replace(base.noise, kind=kind, epsilon=eps),
+            noise=replace(base.noise, type=kind, epsilon=eps),
             train=replace(base.train, algo=algo),
         )
         t0 = time.time()
         tr_ds, ms_ds, _ = prepare_data(cfg)
-        spec = NetworkSpec(input_size=cfg.data.m, channels=cfg.data.channels,
-                           layers=parse_layers(cfg.network))
-        res = train(tr_ds, ms_ds, spec, cfg.train)
+        res = train(tr_ds, ms_ds, cfg.train)
         elapsed = time.time() - t0
         assert elapsed < budget, f"{case} took {elapsed:.0f} s"
         results[case] = res.best_accuracy

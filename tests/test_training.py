@@ -28,9 +28,8 @@ from canclab import (
 from canclab import nn, training
 from oracles import coteaching_iteration
 
-SPEC = NetworkSpec(
-    input_size=8, channels=1, layers=parse_layers("conv(3,3,2) lrelu(0.1) dense(27,2)")
-)
+NETWORK = "conv(3,3,2) lrelu(0.1) dense(27,2)"
+SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
 
 
 def rand_batch(n=10, seed=0):
@@ -313,7 +312,7 @@ def test_canc_iteration_loss_ties_swap_wins():
 
 def base_config(**kw):
     cfg = dict(
-        algo="canc", lr=0.2, t_max=4, t_k=2, batch_size=16, tau_f=0.4,
+        algo="canc", network=NETWORK, lr=0.2, t_max=4, t_k=2, batch_size=16, tau_f=0.4,
         swap_rate=0.1, seed=10,
     )
     cfg.update(kw)
@@ -330,13 +329,13 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         base_config(t_max=0)
     # the schedule-coupled ablation lifts the swap_rate cap
-    base_config(swap_rate=0.5, tau_f=0.4, swap_mode="one_minus_r")
+    base_config(swap_rate=0.5, tau_f=0.4, ablation_s_equals_1_minus_r=True)
 
 
 def test_train_single_iteration_layout():
     ds = toy_dataset(n=32, seed=1)
     cfg = base_config(algo="coteaching", t_max=1, batch_size=32, swap_rate=0.0)
-    result = train(ds, ds, SPEC, cfg)
+    result = train(ds, ds, cfg)
     assert len(result.records) == 1
     assert result.records[0].epoch == 0
     assert result.records[0].remember_rate == 1.0
@@ -356,7 +355,7 @@ def test_train_feeds_every_row_once_per_epoch(monkeypatch):
         return real_step(net, x, y, lr)
 
     monkeypatch.setattr(training, "sgd_step", recording_step)
-    result = train(ds, ds, SPEC, base_config(algo="vanilla", t_max=3, batch_size=16))
+    result = train(ds, ds, base_config(algo="vanilla", t_max=3, batch_size=16))
     assert [len(x) for x in fed] == [16, 16, 16, 2] * 3
     assert [rec.n_clean for rec in result.records] == [50, 50, 50]
     row_of = {ds.patches[i].tobytes(): i for i in range(len(ds))}
@@ -369,8 +368,8 @@ def test_train_feeds_every_row_once_per_epoch(monkeypatch):
 def test_train_determinism():
     ds = toy_dataset(n=48, seed=2, noisy=True)
     cfg = base_config()
-    a = train(ds, ds, SPEC, cfg)
-    b = train(ds, ds, SPEC, cfg)
+    a = train(ds, ds, cfg)
+    b = train(ds, ds, cfg)
     assert repr(a.records) == repr(b.records)
     assert params_equal(a.best_network, b.best_network)
     for na, nb in zip(a.final_networks, b.final_networks):
@@ -379,17 +378,17 @@ def test_train_determinism():
 
 def test_train_seed_changes_trajectory():
     ds = toy_dataset(n=48, seed=2, noisy=True)
-    a = train(ds, ds, SPEC, base_config())
-    b = train(ds, ds, SPEC, base_config(seed=99))
+    a = train(ds, ds, base_config())
+    b = train(ds, ds, base_config(seed=99))
     assert repr(a.records) != repr(b.records)
 
 
 def test_train_canc_s_zero_bitwise_equals_coteaching(monkeypatch):
     ds = toy_dataset(n=48, seed=3, noisy=True)
-    a = train(ds, ds, SPEC, base_config(algo="canc", swap_rate=0.0))
+    a = train(ds, ds, base_config(algo="canc", swap_rate=0.0))
     # co-teaching runs the independent oracle step, not canc_iteration
     monkeypatch.setattr(training, "canc_iteration", coteaching_iteration)
-    b = train(ds, ds, SPEC, base_config(algo="coteaching", swap_rate=0.0))
+    b = train(ds, ds, base_config(algo="coteaching", swap_rate=0.0))
     assert repr(a.records) == repr(b.records)
     for na, nb in zip(a.final_networks, b.final_networks):
         assert params_equal(na, nb)
@@ -398,21 +397,21 @@ def test_train_canc_s_zero_bitwise_equals_coteaching(monkeypatch):
 def test_train_does_not_mutate_dataset_labels():
     ds = toy_dataset(n=48, seed=4, noisy=True)
     before = ds.labels.copy()
-    train(ds, ds, SPEC, base_config(persist_swaps=True, t_max=3))
+    train(ds, ds, base_config(persist_swaps=True, t_max=3))
     assert np.array_equal(ds.labels, before)
 
 
 def test_train_learns_separable_task():
     ds = toy_dataset(n=96, seed=5)
     cfg = base_config(algo="vanilla", t_max=12, t_k=2, lr=0.5, swap_rate=0.0)
-    result = train(ds, ds, SPEC, cfg)
+    result = train(ds, ds, cfg)
     assert result.best_accuracy > 0.9
 
 
 def test_train_swap_stats_reported():
     ds = toy_dataset(n=64, seed=6, noisy=True)
     cfg = base_config(t_max=4, t_k=1, swap_rate=0.3, tau_f=0.4)
-    result = train(ds, ds, SPEC, cfg)
+    result = train(ds, ds, cfg)
     later = result.records[-1]
     assert later.swap_rate == pytest.approx(0.3)
     assert later.n_swapped > 0
@@ -423,7 +422,7 @@ def test_train_first_epoch_swaps_nothing():
     # R(0) = 1 leaves no room below the clean set, so S is clipped to 0
     ds = toy_dataset(n=64, seed=7, noisy=True)
     cfg = base_config(t_max=2, t_k=2, swap_rate=0.3, tau_f=0.4)
-    result = train(ds, ds, SPEC, cfg)
+    result = train(ds, ds, cfg)
     assert result.records[0].swap_rate == 0.0
     assert result.records[0].n_swapped == 0
     assert result.records[1].n_swapped > 0
@@ -431,16 +430,16 @@ def test_train_first_epoch_swaps_nothing():
 
 def test_train_one_minus_r_mode_tracks_schedule():
     ds = toy_dataset(n=64, seed=8, noisy=True)
-    cfg = base_config(t_max=3, t_k=2, swap_mode="one_minus_r", swap_rate=0.0, tau_f=0.4)
-    result = train(ds, ds, SPEC, cfg)
+    cfg = base_config(t_max=3, t_k=2, ablation_s_equals_1_minus_r=True, swap_rate=0.0, tau_f=0.4)
+    result = train(ds, ds, cfg)
     for rec in result.records:
         assert rec.swap_rate == pytest.approx(1.0 - rec.remember_rate)
 
 
 def test_train_persist_swaps_changes_dynamics():
     ds = toy_dataset(n=64, seed=9, noisy=True)
-    a = train(ds, ds, SPEC, base_config(t_max=4, t_k=1, swap_rate=0.3))
-    b = train(ds, ds, SPEC, base_config(t_max=4, t_k=1, swap_rate=0.3, persist_swaps=True))
+    a = train(ds, ds, base_config(t_max=4, t_k=1, swap_rate=0.3))
+    b = train(ds, ds, base_config(t_max=4, t_k=1, swap_rate=0.3, persist_swaps=True))
     assert repr(a.records) != repr(b.records)
 
 
@@ -448,14 +447,14 @@ def test_train_rejects_empty_sets():
     ds = toy_dataset(n=16, seed=10)
     empty = ds.take(np.array([], dtype=np.int64))
     with pytest.raises(ConfigError):
-        train(empty, ds, SPEC, base_config())
+        train(empty, ds, base_config())
     with pytest.raises(ConfigError):
-        train(ds, empty, SPEC, base_config())
+        train(ds, empty, base_config())
 
 
 def test_train_best_snapshot_matches_records():
     ds = toy_dataset(n=64, seed=11, noisy=True)
-    result = train(ds, ds, SPEC, base_config(t_max=5))
+    result = train(ds, ds, base_config(t_max=5))
     best_from_records = max(rec.modelsel_metrics.accuracy for rec in result.records)
     assert result.best_accuracy == best_from_records
     assert result.records[result.best_epoch].modelsel_metrics.accuracy == best_from_records
@@ -469,7 +468,7 @@ def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
     flipped = replace(clean, labels=1 - clean.labels)
     modelsel = toy_dataset(n=64, seed=13)
     cfg = base_config(algo=algo, t_max=6, lr=0.5)
-    result = train(flipped, modelsel, SPEC, cfg)
+    result = train(flipped, modelsel, cfg)
     best = result.records[result.best_epoch]
     assert result.best_accuracy > 0.5
     assert best.inverted
