@@ -6,9 +6,9 @@ Run from the repository root:
 
 import numpy as np
 
-from canclab import SceneGenParams, generate_scene, tile_scene, build_mask_dataset
+from canclab import DataConfig, generate_scene, tile_scene, build_mask_dataset
 
-params = SceneGenParams(size=256, seed=0)
+params = DataConfig(scene_size=256, seed=0)
 scenes = [generate_scene(params, scene_id=i) for i in range(4)]
 
 print("scene gallery")

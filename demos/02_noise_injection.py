@@ -7,7 +7,7 @@ Run from the repository root:
 import numpy as np
 
 from canclab import (
-    SceneGenParams,
+    DataConfig,
     build_mask_dataset,
     generate_scene,
     inject,
@@ -17,11 +17,11 @@ from canclab import (
 )
 
 print("symmetric, epsilon=0.35 (prob of observed row given true column):")
-print(symmetric_matrix(2, 0.35).matrix)
+print(symmetric_matrix(0.35).matrix)
 print("\nantisymmetric, epsilon=0.35 (only class 0 flips, one direction):")
 print(antisymmetric_matrix(0.35).matrix)
 
-scenes = [generate_scene(SceneGenParams(size=256, seed=3), scene_id=i) for i in range(6)]
+scenes = [generate_scene(DataConfig(scene_size=256, seed=3), scene_id=i) for i in range(6)]
 ds = build_mask_dataset(scenes, m=16, tau_label=0.01)
 
 for kind in ("symmetric", "antisymmetric"):

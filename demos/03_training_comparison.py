@@ -1,6 +1,6 @@
 """Train the three algorithms on one noisy dataset and compare.
 
-Uses a reduced preset so the whole demo finishes in about a minute.
+Uses a reduced preset so the whole demo finishes in about 15 s.
 Run from the repository root:
     python3 demos/03_training_comparison.py
 """
@@ -8,7 +8,7 @@ Run from the repository root:
 import numpy as np
 
 from canclab import (
-    SceneGenParams,
+    DataConfig,
     TrainConfig,
     build_mask_dataset,
     generate_scene,
@@ -18,11 +18,8 @@ from canclab import (
 )
 from canclab.data import split_dataset
 
-scenes = [
-    generate_scene(SceneGenParams(size=256, seed=0, building_count=(8, 20), building_side=(16, 48)),
-                   scene_id=i)
-    for i in range(8)
-]
+params = DataConfig(scene_size=256, seed=0, building_count=(8, 20), building_side=(16, 48))
+scenes = [generate_scene(params, scene_id=i) for i in range(8)]
 ds = build_mask_dataset(scenes, m=16, tau_label=0.01)
 tr, ms, ev = split_dataset(ds, (0.7, 0.15, 0.15), seed=0)
 tr = inject(tr, make_transition("symmetric", 0.35), seed=1)

@@ -15,7 +15,6 @@ from .errors import CancLabError, ConfigError, DataError, NumericError
 from .data import (
     MaskDataset,
     Scene,
-    SceneGenParams,
     build_mask_dataset,
     generate_scene,
     label_mask,
@@ -54,7 +53,6 @@ from .training import (
     canc_iteration,
     dataset_metrics,
     flip_labels,
-    predict_dataset,
     remember_rate,
     select_clean,
     select_swap,

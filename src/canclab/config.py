@@ -1,8 +1,10 @@
 """Experiment configuration: a sectioned INI file parsed into typed configs.
 
 Each section's keys are exactly the field names of its config class
-([data] DataConfig, [noise] NoiseConfig, [train] TrainConfig, [output]
-OutputConfig), and a key left out keeps the field's default. A value is read
+([data] data.DataConfig, [noise] NoiseConfig, [train]
+training.TrainConfig, [output] OutputConfig), and a key left out keeps the
+field's default. Each class checks its own values, so a bad value, such as
+an empty [data] building_count range, fails at load. A value is read
 as the type of that default: bool, int, float, str, or a comma-separated
 tuple of the same length and element types. All randomness flows from the
 three seeds (data, noise, train); train() fans [train] seed out into a
@@ -17,7 +19,7 @@ import configparser
 import os
 from dataclasses import asdict, dataclass, field, fields
 
-from .data import SceneGenParams
+from .data import DataConfig
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -29,32 +31,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
 ]
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str = "synthetic"
-    path: str = ""
-    n_scenes: int = 20
-    scene_size: int = SceneGenParams.size
-    channels: int = SceneGenParams.channels
-    m: int = 32
-    tau_label: float = 0.01
-    split: tuple = (0.7, 0.15, 0.15)
-    seed: int = 0
-    building_count: tuple = SceneGenParams.building_count
-    building_side: tuple = SceneGenParams.building_side
-    building_intensity: tuple = SceneGenParams.building_intensity
-    background_intensity: tuple = SceneGenParams.background_intensity
-    pixel_noise: float = SceneGenParams.pixel_noise
-
-    def __post_init__(self):
-        if self.source not in ("synthetic", "file"):
-            raise ConfigError(f"data source must be synthetic or file, got {self.source!r}")
-        if self.source == "file" and not self.path:
-            raise ConfigError("data source 'file' requires a path")
-        if self.source == "synthetic" and self.n_scenes < 1:
-            raise ConfigError("n_scenes must be >= 1")
 
 
 @dataclass(frozen=True)

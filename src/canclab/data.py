@@ -1,9 +1,11 @@
 """Scene generation, tiling into masks, labeling, splits, and dataset files.
 
-A "mask" is an m x m image patch; its binary label says whether enough of
-the ground-truth raster under it is building (fraction >= tau_label).
-Synthetic scenes stand in for real satellite/label imagery: axis-aligned
-rectangular buildings on a darker background, plus pixel noise.
+A "mask" is an m x m image patch; its binary label says whether the
+building fraction of the ground-truth raster under it reaches tau_label
+(label_mask). Synthetic scenes stand in for real satellite/label imagery:
+axis-aligned rectangular buildings on a darker background, plus pixel
+noise. DataConfig, the [data] config section, holds the generator's knobs
+and the mask size, labeling threshold, split and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "Scene",
-    "SceneGenParams",
+    "DataConfig",
     "MaskDataset",
     "generate_scene",
     "tile_scene",
@@ -60,26 +62,43 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class SceneGenParams:
-    """Knobs for the synthetic scene generator. All ranges are inclusive."""
+class DataConfig:
+    """The [data] section: where the masks come from and how they are cut,
+    labeled and split. With source = synthetic, generate_scene reads
+    scene_size, channels, seed and the building, background and pixel
+    noise knobs; all ranges are inclusive and are checked here."""
 
-    size: int = 512
+    source: str = "synthetic"
+    path: str = ""
+    n_scenes: int = 20
+    scene_size: int = 512
     channels: int = 1
+    m: int = 32
+    tau_label: float = 0.01
+    split: tuple = (0.7, 0.15, 0.15)
+    seed: int = 0
     building_count: tuple = (8, 24)
     building_side: tuple = (16, 64)
     building_intensity: tuple = (0.55, 0.95)
     background_intensity: tuple = (0.05, 0.45)
     pixel_noise: float = 0.04
-    seed: int = 0
 
     def __post_init__(self):
+        if self.source not in ("synthetic", "file"):
+            raise ConfigError(f"data source must be synthetic or file, got {self.source!r}")
+        if self.source == "file":
+            if not self.path:
+                raise ConfigError("data source 'file' requires a path")
+            return
+        if self.n_scenes < 1:
+            raise ConfigError("n_scenes must be >= 1")
         for name in ("building_count", "building_side"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
                 raise ConfigError(f"{name} range ({lo},{hi}) is empty or negative")
-        if self.building_side[1] > self.size:
+        if self.building_side[1] > self.scene_size:
             raise ConfigError(
-                f"building side up to {self.building_side[1]} exceeds scene size {self.size}"
+                f"building side up to {self.building_side[1]} exceeds scene size {self.scene_size}"
             )
         if self.pixel_noise < 0:
             raise ConfigError("pixel_noise must be >= 0")
@@ -88,24 +107,24 @@ class SceneGenParams:
 _PLACEMENT_ATTEMPTS = 40  # rejection-sampling budget per building
 
 
-def generate_scene(params: SceneGenParams, scene_id: int = 0) -> Scene:
-    """Render one synthetic scene, deterministic in (params.seed, scene_id).
+def generate_scene(d: DataConfig, scene_id: int = 0) -> Scene:
+    """Render one synthetic scene, deterministic in (d.seed, scene_id).
 
     Buildings are non-overlapping axis-aligned rectangles; placement uses
     rejection sampling with a fixed attempt budget, so crowded parameter
     choices may yield fewer buildings than drawn.
     """
-    n, c = params.size, params.channels
-    rng = np.random.default_rng(np.random.SeedSequence((params.seed, scene_id)))
-    lo, hi = params.background_intensity
+    n, c = d.scene_size, d.channels
+    rng = np.random.default_rng(np.random.SeedSequence((d.seed, scene_id)))
+    lo, hi = d.background_intensity
     image = rng.uniform(lo, hi, size=(n, n, c))
     gt = np.zeros((n, n), dtype=np.uint8)
 
-    count = int(rng.integers(params.building_count[0], params.building_count[1] + 1))
-    blo, bhi = params.building_intensity
+    count = int(rng.integers(d.building_count[0], d.building_count[1] + 1))
+    blo, bhi = d.building_intensity
     for _ in range(count):
-        h = int(rng.integers(params.building_side[0], params.building_side[1] + 1))
-        w = int(rng.integers(params.building_side[0], params.building_side[1] + 1))
+        h = int(rng.integers(d.building_side[0], d.building_side[1] + 1))
+        w = int(rng.integers(d.building_side[0], d.building_side[1] + 1))
         for _attempt in range(_PLACEMENT_ATTEMPTS):
             r = int(rng.integers(0, n - h + 1))
             col = int(rng.integers(0, n - w + 1))
@@ -114,8 +133,8 @@ def generate_scene(params: SceneGenParams, scene_id: int = 0) -> Scene:
                 gt[r : r + h, col : col + w] = 1
                 break
 
-    if params.pixel_noise > 0:
-        image += rng.uniform(-params.pixel_noise, params.pixel_noise, size=(n, n, c))
+    if d.pixel_noise > 0:
+        image += rng.uniform(-d.pixel_noise, d.pixel_noise, size=(n, n, c))
         np.clip(image, 0.0, 1.0, out=image)
     return Scene(image=image, gt=gt, scene_id=scene_id)
 
@@ -141,11 +160,19 @@ def tile_scene(scene: Scene, m: int):
     return patches.copy(), gt_patches.copy(), positions
 
 
+def _label_patches(gt_patches: np.ndarray, tau_label: float) -> np.ndarray:
+    """The labeling rule, one int64 label per ground-truth patch of
+    gt_patches (K, ...): 1 iff the patch's building-pixel fraction reaches
+    tau_label (inclusive)."""
+    if not 0 < tau_label < 1:
+        raise ConfigError(f"tau_label must be in (0,1), got {tau_label}")
+    flat = gt_patches.reshape(len(gt_patches), -1)
+    return (flat.sum(axis=1) / flat.shape[1] >= tau_label).astype(np.int64)
+
+
 def label_mask(gt_patch: np.ndarray, tau_label: float) -> int:
-    """1 iff the building-pixel fraction reaches tau_label (inclusive)."""
-    patch = np.asarray(gt_patch)
-    s1 = int(patch.sum())
-    return int(s1 / patch.size >= tau_label)
+    """The label of one ground-truth patch under _label_patches' rule."""
+    return int(_label_patches(np.asarray(gt_patch)[None], tau_label)[0])
 
 
 @dataclass(eq=False)
@@ -202,15 +229,11 @@ class MaskDataset:
 def build_mask_dataset(scenes, m: int, tau_label: float) -> MaskDataset:
     """Tile every scene and label each mask; mask order is scene-major,
     then row-major within the scene."""
-    if not 0 < tau_label < 1:
-        raise ConfigError(f"tau_label must be in (0,1), got {tau_label}")
     all_patches, labels, sids, rows, cols = [], [], [], [], []
     for scene in scenes:
         patches, gt_patches, positions = tile_scene(scene, m)
         all_patches.append(patches)
-        # label_mask's rule, for every mask of the scene at once
-        fraction = gt_patches.reshape(len(gt_patches), -1).sum(axis=1) / (m * m)
-        labels.append((fraction >= tau_label).astype(np.int64))
+        labels.append(_label_patches(gt_patches, tau_label))
         sids.append(np.full(len(patches), scene.scene_id, dtype=np.int64))
         rows.append(positions[:, 0].astype(np.int64))
         cols.append(positions[:, 1].astype(np.int64))
@@ -300,7 +323,8 @@ def write_dataset(path, ds: MaskDataset):
 def read_dataset(path) -> MaskDataset:
     """Read back a file that write_dataset wrote (version 3), with each
     mask's scene id and grid position. Any other version, a malformed
-    header, or a file shorter or longer than its header's record count is
+    header, a file shorter or longer than its header's record count, or a
+    noisy label outside {0, 1} or clean label outside {0, 1, NO_LABEL} is
     a DataError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -326,6 +350,10 @@ def read_dataset(path) -> MaskDataset:
             raise DataError(f"{path}: {body - n * dtype.itemsize} bytes after the {n} records")
         records = np.fromfile(fh, dtype=dtype, count=n)
     clean = records["clean"]
+    if np.any(records["label"] > 1) or np.any((clean > 1) & (clean != NO_LABEL)):
+        raise DataError(
+            f"{path}: a label outside {{0, 1}} or a clean label outside {{0, 1, {NO_LABEL}}}"
+        )
     return MaskDataset(
         patches=records["patch"].astype(np.float64),
         labels=records["label"].astype(np.int64),

@@ -18,23 +18,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import DataConfig, ExperimentConfig
-from .data import (
-    SceneGenParams,
-    build_mask_dataset,
-    generate_scene,
-    read_dataset,
-    split_dataset,
-    write_dataset,
-)
+from .config import ExperimentConfig
+from .data import build_mask_dataset, generate_scene, read_dataset, split_dataset, write_dataset
 from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
+from .nn import predict
 from .noise import make_transition, inject
-from .training import TrainResult, predict_dataset, train
+from .training import TrainResult, train
 from .version import __version__
 
 __all__ = [
@@ -65,16 +59,13 @@ class RunReport:
 
     name: str
     out_dir: str
-    config_echo: dict
     setting: dict  # the algo, noise and epsilon compare_runs labels it by
     files: dict
-    counts: dict
     best_epoch: int
     best_accuracy: float
     final_metrics: dict
     scene_ious: tuple
     wall_time: float
-    version: str = __version__
 
 
 def resolve_out_dir(configured: str, override: str = None) -> str:
@@ -96,21 +87,13 @@ def _write_atomic(path: str, data) -> None:
     os.replace(tmp, path)
 
 
-def _scene_params(d: DataConfig) -> SceneGenParams:
-    """The generator's knobs share DataConfig's field names, except that
-    SceneGenParams.size is scene_size."""
-    knobs = {f.name: getattr(d, f.name) for f in fields(SceneGenParams) if f.name != "size"}
-    return SceneGenParams(size=d.scene_size, **knobs)
-
-
 def _build_split_noise(cfg: ExperimentConfig):
     """Build or read the whole mask dataset, split it, and inject label
     noise into the training partition (and optionally the model-selection
     partition). Returns (whole, train, modelsel, eval)."""
     d = cfg.data
     if d.source == "synthetic":
-        params = _scene_params(d)
-        scenes = [generate_scene(params, scene_id=i) for i in range(d.n_scenes)]
+        scenes = [generate_scene(d, scene_id=i) for i in range(d.n_scenes)]
         ds = build_mask_dataset(scenes, d.m, d.tau_label)
     else:
         ds = read_dataset(d.path)
@@ -165,20 +148,17 @@ def _report(summary, run_dir: str, ious, wall_time: float = math.nan) -> RunRepo
     return RunReport(
         name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
         out_dir=run_dir,
-        config_echo=config,
         setting={
             "algo": config["train"]["algo"],
             "noise": config["noise"]["type"],
             "epsilon": config["noise"]["epsilon"],
         },
         files=summary["files"],
-        counts=summary["counts"],
         best_epoch=summary["best"]["epoch"],
         best_accuracy=summary["best"]["modelsel_accuracy"],
         final_metrics=summary["final_metrics"],
         scene_ious=tuple(ious),
         wall_time=wall_time,
-        version=summary.get("version", "unknown"),
     )
 
 
@@ -194,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
     # the best epoch's record already scored the best network on train and
     # modelsel; only the eval split is predicted here
     best = result.records[result.best_epoch]
-    eval_pred = predict_dataset(result.best_network, eval_ds.patches)
+    eval_pred = predict(result.best_network, eval_ds.patches)
     final = {
         "train": asdict(best.train_metrics),
         "modelsel": asdict(best.modelsel_metrics),

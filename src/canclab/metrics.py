@@ -47,9 +47,6 @@ class PRF1:
     recall: float
     f1: float
 
-    def as_tuple(self):
-        return (self.accuracy, self.precision, self.recall, self.f1)
-
 
 def confusion(y_true, y_pred) -> ConfusionCounts:
     yt = np.asarray(y_true, dtype=np.int64)
@@ -85,11 +82,11 @@ def prf1(c: ConfusionCounts) -> PRF1:
     return PRF1(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
-def sp_iou(y_true, y_pred, smooth: float = 1.0) -> float:
+def sp_iou(y_true, y_pred) -> float:
     """Smoothed IoU over one scene's grid of mask labels.
 
     intersection counts cells positive in both vectors; union counts cells
-    positive in either. The smooth constant keeps all-negative scenes at
+    positive in either. Adding 1 to both keeps all-negative scenes at
     exactly 1 instead of 0/0.
     """
     yt = np.asarray(y_true, dtype=np.int64)
@@ -100,10 +97,10 @@ def sp_iou(y_true, y_pred, smooth: float = 1.0) -> float:
     pos_p = int(np.sum(yp == 1))
     intersection = int(np.sum((yt == 1) & (yp == 1)))
     union = pos_t + pos_p - intersection
-    return float((intersection + smooth) / (union + smooth))
+    return float((intersection + 1) / (union + 1))
 
 
-def scene_sp_iou(scene_ids, y_true, y_pred, smooth: float = 1.0):
+def scene_sp_iou(scene_ids, y_true, y_pred):
     """Per-scene SP-IoU over a flat mask collection.
 
     Returns a list of {"scene_id": int, "sp_iou": float} dicts ordered by
@@ -114,6 +111,6 @@ def scene_sp_iou(scene_ids, y_true, y_pred, smooth: float = 1.0):
     for sid in np.unique(sids):
         sel = sids == sid
         out.append(
-            {"scene_id": int(sid), "sp_iou": sp_iou(np.asarray(y_true)[sel], np.asarray(y_pred)[sel], smooth=smooth)}
+            {"scene_id": int(sid), "sp_iou": sp_iou(np.asarray(y_true)[sel], np.asarray(y_pred)[sel])}
         )
     return out

@@ -16,8 +16,9 @@ float64.
 Entry points: per_sample_loss(net, x, y) ranks a batch, sgd_step(net, x,
 y, lr) updates on one, and loss_and_gradients(net, x, y) exposes the
 gradients; x is (B,H,W,C) in [0,1] and y holds B labels in {0,1}. Each
-runs its own forward over exactly the rows it is given. Backprop stops at
-the first parametric layer's weights: no gradient with respect to the
+runs its own forward over exactly the rows it is given. predict(net, x)
+labels any number of rows, in forwards over fixed chunks. Backprop stops
+at the first parametric layer's weights: no gradient with respect to the
 network input is formed.
 A step on chosen rows does not reuse the ranking forward over the whole
 batch: a GEMM row's last bits may depend on how many rows the GEMM has
@@ -50,6 +51,8 @@ __all__ = [
     "swap_logits",
 ]
 
+_PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
+
 
 # ---------------------------------------------------------------------------
 # layer descriptors and the network spec
@@ -77,51 +80,41 @@ class LeakyRelu:
 
 LayerDesc = Conv | Dense | LeakyRelu
 
-INIT_SCHEMES = ("he_uniform", "zeros")
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture + init scheme + seed. Fully determines the parameters."""
+    """Architecture + seed. Fully determines the parameters."""
 
     input_size: int
     channels: int
     layers: tuple
-    init: str = "he_uniform"
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.init not in INIT_SCHEMES:
-            raise ConfigError(f"unknown init scheme {self.init!r}")
         layer_plan(self)  # validates dimensions eagerly
 
 
-_LAYER_RE = re.compile(r"^(conv|dense|lrelu)\(([^()]*)\)$")
+_LAYER_KINDS = {"conv": (Conv, int), "dense": (Dense, int), "lrelu": (LeakyRelu, float)}
+_LAYER_RE = re.compile(rf"^({'|'.join(_LAYER_KINDS)})\(([^()]*)\)$")
 
 
 def parse_layers(text: str) -> tuple:
     """Parse the layer grammar: ``conv(C,K,S) lrelu(a) dense(IN,OUT)``.
 
-    Tokens are whitespace-separated; conv stride defaults to 1.
+    Tokens are whitespace-separated; conv stride defaults to 1 and the
+    lrelu slope to 0.1. Too many or too few arguments are a ConfigError.
     """
     layers = []
     for token in text.split():
         m = _LAYER_RE.match(token)
         if m is None:
             raise ConfigError(f"cannot parse network layer {token!r}")
-        name, args = m.group(1), [a.strip() for a in m.group(2).split(",") if a.strip()]
+        kind, cast = _LAYER_KINDS[m.group(1)]
+        args = [a.strip() for a in m.group(2).split(",") if a.strip()]
         try:
-            if name == "conv":
-                if len(args) == 2:
-                    layers.append(Conv(int(args[0]), int(args[1])))
-                else:
-                    layers.append(Conv(int(args[0]), int(args[1]), int(args[2])))
-            elif name == "dense":
-                layers.append(Dense(int(args[0]), int(args[1])))
-            else:
-                layers.append(LeakyRelu(float(args[0])) if args else LeakyRelu())
-        except (ValueError, IndexError) as exc:
+            layers.append(kind(*map(cast, args)))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments in network layer {token!r}") from exc
     if not layers:
         raise ConfigError("network description is empty")
@@ -182,11 +175,8 @@ class Network:
 
 
 def init_network(spec: NetworkSpec) -> Network:
-    """Draw parameters deterministically from spec.seed.
-
-    he_uniform: weights ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), biases 0.
-    zeros: everything 0 (useful for analytic sanity checks only).
-    """
+    """Draw parameters deterministically from spec.seed, He-uniform:
+    weights ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), biases 0."""
     rng = np.random.default_rng(spec.seed)
     params = []
     for layer, shape in layer_plan(spec):
@@ -201,12 +191,8 @@ def init_network(spec: NetworkSpec) -> Network:
             bshape = (layer.out_dim,)
         else:
             continue
-        if spec.init == "zeros":
-            w = np.zeros(wshape)
-        else:
-            limit = math.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=wshape)
-        params.append((w, np.zeros(bshape)))
+        limit = math.sqrt(6.0 / fan_in)
+        params.append((rng.uniform(-limit, limit, size=wshape), np.zeros(bshape)))
     return Network(spec=spec, params=tuple(params))
 
 
@@ -334,9 +320,15 @@ def per_sample_loss(net: Network, x, y) -> np.ndarray:
 
 def predict(net: Network, x) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
-    label 0. No labels needed, unlike the loss entry points."""
-    logits, _ = _forward(net, _check_input(net, x)[0])
-    return np.argmax(logits, axis=1).astype(np.int64)
+    label 0. No labels needed, unlike the loss entry points. Forwards run
+    over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
+    whatever B is and reruns are bitwise identical."""
+    x = _check_input(net, x)[0]
+    out = np.empty(len(x), dtype=np.int64)
+    for start in range(0, len(x), _PREDICT_CHUNK):
+        logits, _ = _forward(net, x[start : start + _PREDICT_CHUNK])
+        out[start : start + _PREDICT_CHUNK] = np.argmax(logits, axis=1)
+    return out
 
 
 def loss_and_gradients(net: Network, x, y):

@@ -1,9 +1,11 @@
 """Label-noise models.
 
-A noise transition matrix T is column-stochastic with T[j, i] = P(observed
-label j | true label i). Injection draws each observed label independently
-from the column of its true label, so empirical flip frequencies converge
-to the off-diagonal mass of that column.
+Labels are binary, so a noise transition matrix T is 2x2 and
+column-stochastic, with T[j, i] = P(observed label j | true label i). Its
+two flip rates T[1, 0] and T[0, 1] describe any class-conditional noise on
+two classes. Injection draws each observed label independently from the
+column of its true label, so empirical flip frequencies converge to those
+rates.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ _COLSUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class NoiseTransition:
-    """A validated column-stochastic transition matrix."""
+    """A validated 2x2 column-stochastic transition matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.matrix, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ConfigError(f"transition matrix must be square, got shape {t.shape}")
+        if t.shape != (2, 2):
+            raise ConfigError(f"transition matrix must be 2x2, got shape {t.shape}")
         if np.any(t < 0) or np.any(t > 1):
             raise ConfigError("transition entries must lie in [0,1]")
         colsums = t.sum(axis=0)
@@ -44,61 +46,47 @@ class NoiseTransition:
             raise ConfigError(f"columns must sum to 1, got {colsums}")
         object.__setattr__(self, "matrix", t)
 
-    @property
-    def n_classes(self) -> int:
-        return self.matrix.shape[0]
 
-
-def symmetric_matrix(n_classes: int, epsilon: float) -> NoiseTransition:
-    """Every class keeps its label with prob 1-epsilon and spreads epsilon
-    evenly over the other classes."""
-    _check_rate(epsilon, n_classes)
-    off = epsilon / (n_classes - 1)
-    t = np.full((n_classes, n_classes), off, dtype=np.float64)
-    np.fill_diagonal(t, 1.0 - epsilon)
+def symmetric_matrix(epsilon: float) -> NoiseTransition:
+    """Each class flips to the other with prob epsilon."""
+    _check_rate(epsilon)
+    t = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]], dtype=np.float64)
     return NoiseTransition(matrix=t)
 
 
 def antisymmetric_matrix(epsilon: float) -> NoiseTransition:
-    """One-directional binary noise: class 0 flips to 1 with prob epsilon,
-    class 1 is never corrupted."""
-    _check_rate(epsilon, 2)
+    """One-directional noise: class 0 flips to 1 with prob epsilon, class 1
+    is never corrupted."""
+    _check_rate(epsilon)
     t = np.array([[1.0 - epsilon, 0.0], [epsilon, 1.0]], dtype=np.float64)
     return NoiseTransition(matrix=t)
 
 
-def make_transition(kind: str, epsilon: float, n_classes: int = 2) -> NoiseTransition:
+def make_transition(kind: str, epsilon: float) -> NoiseTransition:
     if kind == "none":
-        return symmetric_matrix(n_classes, 0.0)
+        return symmetric_matrix(0.0)
     if kind == "symmetric":
-        return symmetric_matrix(n_classes, epsilon)
+        return symmetric_matrix(epsilon)
     if kind == "antisymmetric":
-        if n_classes != 2:
-            raise ConfigError("antisymmetric noise is binary only")
         return antisymmetric_matrix(epsilon)
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def _check_rate(epsilon: float, n_classes: int):
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
+def _check_rate(epsilon: float):
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"noise rate must be in [0,1], got {epsilon}")
 
 
 def apply_noise(labels: np.ndarray, transition: NoiseTransition, rng) -> np.ndarray:
-    """Corrupt labels by one inverse-CDF draw per sample along the label's
-    column. One uniform is consumed per sample in array order, so the
-    result is a pure function of (labels, transition, rng state)."""
+    """Corrupt labels by one uniform draw u per sample: the observed label
+    is 0 when u < T[0, y] and 1 otherwise. One uniform is consumed per
+    sample in array order, so the result is a pure function of (labels,
+    transition, rng state)."""
     y = np.asarray(labels, dtype=np.int64)
-    n = transition.n_classes
-    if y.size and (y.min() < 0 or y.max() >= n):
-        raise ConfigError(f"labels outside [0,{n}) for this transition")
-    cdf = np.cumsum(transition.matrix, axis=0)  # (n, n), column CDFs
+    if y.size and (y.min() < 0 or y.max() > 1):
+        raise ConfigError("labels outside {0, 1} for a binary transition")
     u = rng.random(y.shape[0])
-    # first row index where the column CDF exceeds the draw
-    observed = np.argmax(u[None, :] < cdf[:, y], axis=0)
-    return observed.astype(np.int64)
+    return (u >= transition.matrix[0, y]).astype(np.int64)
 
 
 def inject(ds: MaskDataset, transition: NoiseTransition, seed: int) -> MaskDataset:

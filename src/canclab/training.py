@@ -44,12 +44,10 @@ __all__ = [
     "canc_iteration",
     "train",
     "derive_train_seeds",
-    "predict_dataset",
     "dataset_metrics",
 ]
 
 ALGORITHMS = ("vanilla", "coteaching", "canc")
-_PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
 
 
 @dataclass(frozen=True)
@@ -232,18 +230,9 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     return m1_new, m2_new, IterationDiag(clean_1, swap_1, clean_2, swap_2)
 
 
-def predict_dataset(net: Network, patches: np.ndarray) -> np.ndarray:
-    """Predict a whole collection in fixed-size chunks so the result is
-    independent of available memory and bitwise stable across reruns."""
-    out = np.empty(len(patches), dtype=np.int64)
-    for start in range(0, len(patches), _PREDICT_CHUNK):
-        out[start : start + _PREDICT_CHUNK] = predict(net, patches[start : start + _PREDICT_CHUNK])
-    return out
-
-
 def dataset_metrics(net: Network, ds: MaskDataset) -> PRF1:
     """Metrics of one network against the dataset's stored labels."""
-    return prf1(confusion(ds.labels, predict_dataset(net, ds.patches)))
+    return prf1(confusion(ds.labels, predict(net, ds.patches)))
 
 
 def derive_train_seeds(seed: int) -> tuple:

@@ -1,10 +1,33 @@
 """Reference implementations that the package no longer ships, kept as
 independent oracles for the tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from canclab import per_sample_loss, select_clean, sgd_step
 from canclab.training import IterationDiag
+
+
+def zeroed(net):
+    """net with every weight and bias zero, so that every sample's two
+    logits are equal."""
+    return replace(net, params=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in net.params))
+
+
+def inverse_cdf_noise(labels, matrix, rng):
+    """Draw each observed label from its true label's column of the
+    column-stochastic matrix: the first row whose cumulative column sum
+    exceeds one uniform draw, one draw per sample in array order.
+
+    Written separately from canclab.noise.apply_noise, which compares one
+    draw against T[0, y] and so holds for 2 x 2 matrices only; this one
+    takes any number of classes.
+    """
+    y = np.asarray(labels, dtype=np.int64)
+    cdf = np.cumsum(matrix, axis=0)
+    u = rng.random(y.shape[0])
+    return np.argmax(u[None, :] < cdf[:, y], axis=0).astype(np.int64)
 
 
 def coteaching_iteration(m1, m2, x, y, r, s, lr):

@@ -11,7 +11,7 @@ loosens a check.
 import math
 import os
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from canclab import (
 )
 from canclab import training
 from canclab.config import load_config
-from canclab.data import SceneGenParams
+from canclab.data import DataConfig
 from canclab.harness import prepare_data, run_experiment
 from canclab.nn import init_network
 from oracles import coteaching_iteration
@@ -56,7 +56,7 @@ def _report(num, title, ok):
 
 
 def test_criterion_01_noise_matrices_bit_exact():
-    sym = symmetric_matrix(2, 0.35).matrix
+    sym = symmetric_matrix(0.35).matrix
     anti = antisymmetric_matrix(0.35).matrix
     ok = np.array_equal(sym, np.array([[0.65, 0.35], [0.35, 0.65]])) and np.array_equal(
         anti, np.array([[0.65, 0.0], [0.35, 1.0]])
@@ -147,11 +147,11 @@ def test_criterion_05_remember_rate_schedule_exact():
 
 
 def _tiny_dataset(seed=3, n_scenes=4, size=128, m=16):
-    params = SceneGenParams(size=size, seed=seed)
+    params = DataConfig(scene_size=size, seed=seed)
     scenes = [generate_scene(params, scene_id=i) for i in range(n_scenes)]
     ds = build_mask_dataset(scenes, m=m, tau_label=0.01)
     rng = np.random.default_rng(7)
-    noisy = apply_noise(ds.labels, symmetric_matrix(2, 0.35), rng)
+    noisy = apply_noise(ds.labels, symmetric_matrix(0.35), rng)
     return ds.with_labels(noisy, clean_labels=ds.labels)
 
 
@@ -188,7 +188,7 @@ def test_criterion_07_metric_semantics():
     y_true = np.array([1] * 5 + [0] * 5)
     y_pred = np.zeros(10, dtype=np.int64)
     counts = confusion(y_true, y_pred)
-    acc, p, r, f1 = prf1(counts).as_tuple()
+    acc, p, r, f1 = astuple(prf1(counts))
     degenerate_ok = (
         counts.tp == 0
         and counts.fp == 0
@@ -259,7 +259,7 @@ def test_criterion_10_labeling_boundaries_and_tiling():
     patches[2].flat[:11] = 1.0
     labels = [label_mask(p, tau_label=tau) for p in patches]
     boundaries_ok = labels == [0, 0, 1]
-    scene = generate_scene(SceneGenParams(size=2048, seed=9), scene_id=0)
+    scene = generate_scene(DataConfig(scene_size=2048, seed=9), scene_id=0)
     tiled, _, _ = tile_scene(scene, m=8)
     count_ok = tiled.shape[0] == 65536 and (8192 // 32) ** 2 == (2048 // 8) ** 2 == 65536
     _report(10, "boundary masks 0/10/11 px -> 0/0/1; 65536-mask tiling (scaled grid)", boundaries_ok and count_ok)

@@ -9,10 +9,10 @@ import pytest
 
 from canclab import (
     ConfigError,
+    DataConfig,
     DataError,
     MaskDataset,
     Scene,
-    SceneGenParams,
     build_mask_dataset,
     generate_scene,
     label_mask,
@@ -21,13 +21,14 @@ from canclab import (
     tile_scene,
     write_dataset,
 )
+from canclab.config import parse_config_text
 from canclab.data import NO_LABEL
 
 
 def small_params(**kw):
-    base = dict(size=64, building_count=(2, 4), building_side=(8, 16), seed=0)
+    base = dict(scene_size=64, building_count=(2, 4), building_side=(8, 16), seed=0)
     base.update(kw)
-    return SceneGenParams(**base)
+    return DataConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,15 @@ def test_buildings_brighter_than_background():
 
 def test_scene_param_validation():
     with pytest.raises(ConfigError):
-        SceneGenParams(size=32, building_side=(8, 64))  # building exceeds scene
+        DataConfig(scene_size=32, building_side=(8, 64))  # building exceeds scene
     with pytest.raises(ConfigError):
-        SceneGenParams(building_count=(5, 2))
+        DataConfig(building_count=(5, 2))
     with pytest.raises(ConfigError):
-        SceneGenParams(pixel_noise=-0.1)
+        DataConfig(pixel_noise=-0.1)
+    with pytest.raises(ConfigError):  # at load, before any scene is built
+        parse_config_text("[data]\nbuilding_count = 5,2\n")
+    # a file source generates no scenes, so its scene knobs go unchecked
+    DataConfig(source="file", path="masks.bin", building_count=(5, 2))
 
 
 def test_scene_shape_validation():
@@ -134,7 +139,7 @@ def test_dataset_labels_match_label_mask_on_a_pixel_count_boundary():
     # masks with exactly that count sit on the threshold; m = 12 makes the
     # fraction count/144, which is inexact in binary
     m = 12
-    scene = generate_scene(small_params(size=96, seed=3))
+    scene = generate_scene(small_params(scene_size=96, seed=3))
     _, gt_patches, _ = tile_scene(scene, m)
     counts = gt_patches.reshape(len(gt_patches), -1).sum(axis=1)
     partial = np.sort(counts[(counts > 0) & (counts < m * m)])

@@ -3,6 +3,7 @@ compare, data generation, and the CLI surface."""
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from canclab import (
     MaskDataset,
     NoiseConfig,
     OutputConfig,
-    SceneGenParams,
     TrainConfig,
     compare_runs,
     gen_data,
@@ -31,7 +31,8 @@ from canclab import (
     write_dataset,
 )
 from canclab.config import parse_config_text
-from canclab.harness import _scene_params, parse_grid, prepare_data, resolve_out_dir
+from canclab.data import NO_LABEL
+from canclab.harness import parse_grid, prepare_data, resolve_out_dir
 from canclab.training import derive_train_seeds
 
 TINY = """
@@ -83,8 +84,6 @@ def test_config_defaults():
 def test_config_empty_text_is_the_dataclass_defaults():
     cfg = parse_config_text("")
     assert cfg == ExperimentConfig()
-    # the scene knobs default to the generator's own defaults
-    assert _scene_params(cfg.data) == SceneGenParams()
 
 
 def test_config_every_key_set_to_a_non_default_value(tmp_path):
@@ -196,11 +195,15 @@ def test_config_inline_comments():
 
 
 def test_config_rejects_unparseable_network(tmp_path):
-    # caught when the config loads, before any scene is built
+    # caught when the config loads, before any scene is built; a layer with
+    # too many arguments is not read as its first ones
     cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text("[train]\nnetwork = conv(4)\n")
-    with pytest.raises(ConfigError, match="conv"):
-        load_config(str(cfg_path))
+    for network in ("conv(4)", "conv(6,5,2,9)", "lrelu(0.1,7)", "dense(432,2,5)"):
+        cfg_path.write_text(f"[train]\nnetwork = {network}\n")
+        with pytest.raises(ConfigError, match=re.escape(network)):
+            load_config(str(cfg_path))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
     with pytest.raises(ConfigError):
         TrainConfig(network="dense(4,2) sorcery(1)")
 
@@ -440,14 +443,43 @@ def test_cli_file_source_mask_shape_comes_from_the_file(tmp_path):
     assert "configuration error" in proc.stderr
 
 
+def raw_header(m, channels, count):
+    """A writer of a v3 header followed by 64 zero bytes."""
+    return lambda path: path.write_bytes(
+        struct.pack("<4sIIII", b"CANC", 3, m, channels, count) + b"\x00" * 64
+    )
+
+
+def zero_masks(labels, clean):
+    """A writer of a v3 file holding one all-zero 16 x 16 mask per label,
+    eight masks to a scene."""
+    n = len(labels)
+    ds = MaskDataset(
+        patches=np.zeros((n, 16, 16, 1)),
+        labels=np.array(labels, dtype=np.int64),
+        scene_ids=np.arange(n, dtype=np.int64) // 8,
+        rows=np.arange(n, dtype=np.int64) % 8,
+        cols=np.zeros(n, dtype=np.int64),
+        clean_labels=np.array(clean, dtype=np.int64),
+    )
+    return lambda path: write_dataset(str(path), ds)
+
+
 @pytest.mark.parametrize(
-    "m, channels, count",
-    [(0, 1, 1), (16, 0, 1), (70000, 70000, 1), (16, 1, 2**32 - 1)],
-    ids=["m0", "channels0", "huge_mask", "huge_count"],
+    "write",
+    [
+        raw_header(0, 1, 1),
+        raw_header(16, 0, 1),
+        raw_header(70000, 70000, 1),
+        raw_header(16, 1, 2**32 - 1),
+        zero_masks([0, 1, 0, 2] + [0, 1] * 30, [NO_LABEL] * 64),
+        zero_masks([0, 1] * 32, [NO_LABEL] * 3 + [7] + [NO_LABEL] * 60),
+    ],
+    ids=["m0", "channels0", "huge_mask", "huge_count", "label_2", "clean_label_7"],
 )
-def test_cli_file_source_bad_header_exit_3(tmp_path, m, channels, count):
+def test_cli_file_source_bad_header_exit_3(tmp_path, write):
     path = tmp_path / "bad.bin"
-    path.write_bytes(struct.pack("<4sIIII", b"CANC", 3, m, channels, count) + b"\x00" * 64)
+    write(path)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(file_source_ini(path))
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])

@@ -24,7 +24,7 @@ from canclab import (
 )
 from canclab import nn
 from canclab.nn import _backward, _forward, _per_sample_ce, layer_plan
-from oracles import full_backward
+from oracles import full_backward, zeroed
 
 
 def tiny_spec(seed=0):
@@ -103,22 +103,13 @@ def test_init_he_uniform_bounds_and_zero_bias():
     assert np.all(conv_b == 0.0)
 
 
-def test_zeros_init_scheme():
-    spec = NetworkSpec(
-        input_size=12, channels=1, layers=tiny_spec().layers, init="zeros"
-    )
-    net = init_network(spec)
-    assert all(np.all(w == 0) and np.all(b == 0) for w, b in net.params)
-
-
 # ---------------------------------------------------------------------------
 # loss values
 
 
 def test_loss_is_ln2_at_equal_logits():
-    # zero-initialized network produces equal logits for every sample
-    spec = NetworkSpec(input_size=12, channels=1, layers=tiny_spec().layers, init="zeros")
-    net = init_network(spec)
+    # a zero-weight network produces equal logits for every sample
+    net = zeroed(init_network(tiny_spec()))
     losses = per_sample_loss(net, *rand_batch(tiny_spec()))
     assert np.all(losses == math.log(2.0))
 
@@ -142,8 +133,7 @@ def test_loss_matches_naive_softmax_ce():
 
 
 def test_predict_tie_goes_to_class_zero():
-    spec = NetworkSpec(input_size=12, channels=1, layers=tiny_spec().layers, init="zeros")
-    net = init_network(spec)
+    net = zeroed(init_network(tiny_spec()))
     x, _ = rand_batch(tiny_spec(), n=3)
     assert np.all(predict(net, x) == 0)
 

@@ -18,7 +18,7 @@ from canclab import (
     init_network,
     parse_layers,
     per_sample_loss,
-    predict_dataset,
+    predict,
     remember_rate,
     select_clean,
     select_swap,
@@ -26,7 +26,7 @@ from canclab import (
     train,
 )
 from canclab import nn, training
-from oracles import coteaching_iteration
+from oracles import coteaching_iteration, zeroed
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(27,2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -300,7 +300,7 @@ def test_canc_iteration_loss_ties_swap_wins():
     # zero weights give every row the loss ln 2: at r = s = 0.5 the lowest
     # five and the highest five indices are both rows 0-4, the swap keeps
     # them and the clean set falls back to its one-row floor, row 5
-    zeros = init_network(replace(SPEC, init="zeros"))
+    zeros = zeroed(init_network(SPEC))
     _, _, diag = canc_iteration(zeros, zeros, *rand_batch(n=10, seed=7), r=0.5, s=0.5, lr=0.1)
     assert diag.clean_for_m2.tolist() == [5]
     assert diag.swap_for_m2.tolist() == [0, 1, 2, 3, 4]
@@ -472,9 +472,9 @@ def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
     best = result.records[result.best_epoch]
     assert result.best_accuracy > 0.5
     assert best.inverted
-    pred = predict_dataset(result.best_network, modelsel.patches)
+    pred = predict(result.best_network, modelsel.patches)
     assert np.mean(pred == modelsel.labels) == best.modelsel_metrics.accuracy == result.best_accuracy
     # the twin is only read, never trained on: the final networks still
     # predict the inverted concept
     for net in result.final_networks:
-        assert np.mean(predict_dataset(net, modelsel.patches) == modelsel.labels) < 0.5
+        assert np.mean(predict(net, modelsel.patches) == modelsel.labels) < 0.5
