@@ -37,6 +37,7 @@ from .nn import (
     LeakyRelu,
     Network,
     NetworkSpec,
+    forward,
     init_network,
     loss_and_gradients,
     parse_layers,

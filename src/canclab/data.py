@@ -86,6 +86,8 @@ class DataConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
             raise ConfigError(f"data source must be synthetic or file, got {self.source!r}")
+        if any(f <= 0 for f in self.split):
+            raise ConfigError(f"split fractions must all be > 0, got {self.split}")
         if self.source == "file":
             if not self.path:
                 raise ConfigError("data source 'file' requires a path")

@@ -119,22 +119,15 @@ def prepare_data(cfg: ExperimentConfig):
     return _build_split_noise(cfg)[1:]
 
 
-def _csv(columns, rows) -> str:
-    """A header line of columns, then each row's values in that order."""
-    lines = [",".join(columns)]
-    lines += [",".join(str(row[col]) for col in columns) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _epochs_csv(result: TrainResult) -> str:
-    """One row per (epoch, split); each column is the record's field or
-    the split's metric of that name."""
-    rows = [
-        {**vars(rec), **asdict(m), "split": split}
-        for rec in result.records
-        for split, m in (("train", rec.train_metrics), ("modelsel", rec.modelsel_metrics))
-    ]
-    return _csv(EPOCH_CSV_COLUMNS, rows)
+    """A header line of EPOCH_CSV_COLUMNS, then one row per (epoch, split);
+    each column is the record's field or the split's metric of that name."""
+    lines = [",".join(EPOCH_CSV_COLUMNS)]
+    for rec in result.records:
+        for split, m in (("train", rec.train_metrics), ("modelsel", rec.modelsel_metrics)):
+            row = {**vars(rec), **asdict(m), "split": split}
+            lines.append(",".join(str(row[col]) for col in EPOCH_CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def _json_dumps(obj) -> str:
@@ -274,7 +267,8 @@ def parse_grid(text: str) -> dict:
 
 def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = None) -> dict:
     """Run one experiment per grid cell under a common output root and
-    write a sweep_summary table (CSV and JSON)."""
+    write sweep_summary.json there, which holds exactly the returned dict:
+    the grid and one row per cell."""
     grid = parse_grid(grid_text)
     root = resolve_out_dir(cfg.output.dir, out_dir)
     os.makedirs(root, exist_ok=True)
@@ -305,7 +299,6 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
                 "eval_sp_iou_mean": report.final_metrics["eval"]["sp_iou_mean"],
             }
         )
-    _write_atomic(os.path.join(root, "sweep_summary.csv"), _csv(list(rows[0]), rows))
     summary = {"version": __version__, "grid": grid_text, "rows": rows}
     _write_atomic(os.path.join(root, "sweep_summary.json"), _json_dumps(summary))
     return summary

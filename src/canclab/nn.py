@@ -13,17 +13,18 @@ Supported layers: valid (unpadded) strided 2D convolution, dense, and
 leaky ReLU. Data layout is channels-last: (B, H, W, C). Everything is
 float64.
 
-Entry points: per_sample_loss(net, x, y) ranks a batch, sgd_step(net, x,
-y, lr) updates on one, and loss_and_gradients(net, x, y) exposes the
-gradients; x is (B,H,W,C) in [0,1] and y holds B labels in {0,1}. Each
-runs its own forward over exactly the rows it is given. predict(net, x)
-labels any number of rows, in forwards over fixed chunks. Backprop stops
-at the first parametric layer's weights: no gradient with respect to the
-network input is formed.
-A step on chosen rows does not reuse the ranking forward over the whole
-batch: a GEMM row's last bits may depend on how many rows the GEMM has
-(BLAS picks kernels by size), so a sliced forward would make the step
-depend on the batch the rows were ranked in.
+Entry points: forward(net, x) runs one checked forward over a batch x
+of shape (B,H,W,C) in [0,1] and returns (logits, caches).
+per_sample_loss(logits, y) ranks the batch by those logits against B
+labels in {0,1}. sgd_step(net, y, fwd, lr, rows) updates net on the mean
+cross-entropy over the chosen rows of its own forward fwd, and
+loss_and_gradients(net, y, fwd, rows) exposes that loss and its gradients;
+rows defaults to the whole batch. Unchosen rows enter the backward with a
+zero gradient, so a step runs no forward of its own and every GEMM of it
+has B rows, whatever the choice. predict(net, x) labels any number of
+rows, in forwards over fixed chunks. Backprop stops at the first
+parametric layer's weights: no gradient with respect to the network input
+is formed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "init_network",
+    "forward",
     "per_sample_loss",
     "predict",
     "sgd_step",
@@ -200,20 +202,16 @@ def init_network(spec: NetworkSpec) -> Network:
 # forward / backward
 
 
-def _check_input(net: Network, x, y=None):
-    """x as float64 (B,H,W,C) with B >= 1 matching net's input and, when
-    given, y as B int64 labels; raises ValueError otherwise."""
+def _check_input(net: Network, x) -> np.ndarray:
+    """x as float64 (B,H,W,C) with B >= 1 matching net's input; raises
+    ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     expect = (net.spec.input_size, net.spec.input_size, net.spec.channels)
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ValueError(f"input shape {x.shape} does not match spec input {expect}")
     if len(x) < 1:
         raise ValueError("batch must contain at least one sample")
-    if y is not None:
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (len(x),):
-            raise ValueError(f"labels must have length B={len(x)}, got shape {y.shape}")
-    return x, y
+    return x
 
 
 def _forward(net: Network, x: np.ndarray):
@@ -297,25 +295,27 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
     return grads
 
 
-def _per_sample_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stable 2-logit softmax cross-entropy, elementwise over the batch.
+def forward(net: Network, x):
+    """(logits, caches) of net on the batch x, checked: the forward that
+    per_sample_loss ranks by and that sgd_step backprops."""
+    return _forward(net, _check_input(net, x))
+
+
+def per_sample_loss(logits: np.ndarray, y) -> np.ndarray:
+    """Stable 2-logit softmax cross-entropy of each row of logits against
+    its label, length B. No reduction: the co-teaching selection ranks
+    these directly.
 
     loss_i = softplus(z_wrong - z_true); exactly ln 2 at equal logits.
+    Raises ValueError unless y holds one label per row.
     """
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (len(logits),):
+        raise ValueError(f"labels must have length B={len(logits)}, got shape {y.shape}")
     z_true = logits[np.arange(len(y)), y]
     z_wrong = logits[np.arange(len(y)), 1 - y]
     t = z_wrong - z_true
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
-def per_sample_loss(net: Network, x, y) -> np.ndarray:
-    """Cross-entropy of each sample under the current parameters, length B.
-
-    No reduction: the co-teaching selection ranks these directly.
-    """
-    x, y = _check_input(net, x, y)
-    logits, _ = _forward(net, x)
-    return _per_sample_ce(logits, y)
 
 
 def predict(net: Network, x) -> np.ndarray:
@@ -323,7 +323,7 @@ def predict(net: Network, x) -> np.ndarray:
     label 0. No labels needed, unlike the loss entry points. Forwards run
     over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
     whatever B is and reruns are bitwise identical."""
-    x = _check_input(net, x)[0]
+    x = _check_input(net, x)
     out = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), _PREDICT_CHUNK):
         logits, _ = _forward(net, x[start : start + _PREDICT_CHUNK])
@@ -331,18 +331,25 @@ def predict(net: Network, x) -> np.ndarray:
     return out
 
 
-def loss_and_gradients(net: Network, x, y):
-    """Mean batch loss plus exact gradients of it w.r.t. every parameter."""
-    x, y = _check_input(net, x, y)
-    logits, caches = _forward(net, x)
-    losses = _per_sample_ce(logits, y)
-    b = len(y)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    dlogits = probs.copy()
+def loss_and_gradients(net: Network, y, fwd, rows=None):
+    """Mean cross-entropy over the chosen rows of fwd = forward(net, x)
+    against the labels y, plus its exact gradients w.r.t. every parameter.
+
+    rows indexes the chosen rows, each at most once; None chooses all B.
+    The other rows enter the backward with a zero gradient.
+    """
+    logits, caches = fwd
+    losses = per_sample_loss(logits, y)
+    b, y = len(logits), np.asarray(y, dtype=np.int64)
+    chosen = np.ones(b, dtype=bool) if rows is None else np.isin(np.arange(b), rows)
+    if not chosen.any():
+        raise ValueError("a step needs at least one chosen row")
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = expz / expz.sum(axis=1, keepdims=True)
     dlogits[np.arange(b), y] -= 1.0
-    dlogits /= b
+    dlogits[~chosen] = 0.0
+    losses = losses[chosen]
+    dlogits /= len(losses)
     grads = _backward(net, caches, dlogits)
     for i, (dw, db) in enumerate(grads):
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
@@ -350,11 +357,11 @@ def loss_and_gradients(net: Network, x, y):
     return float(losses.mean()), grads
 
 
-def sgd_step(net: Network, x, y, lr: float) -> Network:
-    """One plain gradient step on the mean batch cross-entropy."""
+def sgd_step(net: Network, y, fwd, lr: float, rows=None) -> Network:
+    """One plain gradient step on loss_and_gradients(net, y, fwd, rows)."""
     if lr < 0:
         raise ConfigError("learning rate must be >= 0")
-    _, grads = loss_and_gradients(net, x, y)
+    _, grads = loss_and_gradients(net, y, fwd, rows)
     new_params = tuple(
         (w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads)
     )

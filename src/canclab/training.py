@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import (Network, NetworkSpec, init_network, parse_layers, per_sample_loss, predict,
-                 sgd_step, swap_logits)
+from .nn import (Network, NetworkSpec, forward, init_network, parse_layers, per_sample_loss,
+                 predict, sgd_step, swap_logits)
 
 __all__ = [
     "TrainConfig",
@@ -188,14 +188,6 @@ def flip_labels(labels, idx) -> np.ndarray:
     return y
 
 
-def _teaching_batch(x, y, clean_idx, swap_idx) -> tuple:
-    """Assemble the peer's update batch (x, y): clean samples as labeled,
-    swap samples with flipped labels, in that order (the two sets are
-    disjoint)."""
-    rows = np.concatenate([clean_idx, swap_idx])
-    return x[rows], flip_labels(y, swap_idx)[rows]
-
-
 def _select_sets(losses, r: float, s: float) -> tuple:
     clean = select_clean(losses, r)
     swap = select_swap(losses, s)
@@ -214,19 +206,20 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
 
     Each network ranks the batch by its own per-sample loss on the labels
     as given, takes the low-loss fraction r as clean and the top-loss
-    fraction s for flipping, and the peer does one SGD step on the union.
-    Both rankings use pre-update parameters. s must not exceed 1 - r; at
-    s = 1 - r the sets can still collide on loss ties, and any collision
-    resolves in favor of the swap.
+    fraction s for flipping, and the peer does one SGD step on the union:
+    the mean cross-entropy over those rows of the peer's own ranking
+    forward, swapped rows against their flipped labels. Both rankings use
+    pre-update parameters, and each network runs one forward. s must not
+    exceed 1 - r; at s = 1 - r the sets can still collide on loss ties,
+    and any collision resolves in favor of the swap.
     """
     if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
-    losses_1 = per_sample_loss(m1, x, y)
-    losses_2 = per_sample_loss(m2, x, y)
-    clean_1, swap_1 = _select_sets(losses_1, r, s)
-    clean_2, swap_2 = _select_sets(losses_2, r, s)
-    m2_new = sgd_step(m2, *_teaching_batch(x, y, clean_1, swap_1), lr)
-    m1_new = sgd_step(m1, *_teaching_batch(x, y, clean_2, swap_2), lr)
+    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
+    clean_1, swap_1 = _select_sets(per_sample_loss(fwd_1[0], y), r, s)
+    clean_2, swap_2 = _select_sets(per_sample_loss(fwd_2[0], y), r, s)
+    m2_new = sgd_step(m2, flip_labels(y, swap_1), fwd_2, lr, np.concatenate([clean_1, swap_1]))
+    m1_new = sgd_step(m1, flip_labels(y, swap_2), fwd_1, lr, np.concatenate([clean_2, swap_2]))
     return m1_new, m2_new, IterationDiag(clean_1, swap_1, clean_2, swap_2)
 
 
@@ -296,7 +289,7 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
             if config.algo == "vanilla":
-                nets[0] = sgd_step(nets[0], x, y, config.lr)
+                nets[0] = sgd_step(nets[0], y, forward(nets[0], x), config.lr)
                 n_clean += len(idx)
                 continue
             nets[0], nets[1], diag = canc_iteration(nets[0], nets[1], x, y, r, s_eff, config.lr)

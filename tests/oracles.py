@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from canclab import per_sample_loss, select_clean, sgd_step
+from canclab import forward, per_sample_loss, select_clean, sgd_step
+from canclab.nn import _backward, _forward
 from canclab.training import IterationDiag
 
 
@@ -31,21 +32,42 @@ def inverse_cdf_noise(labels, matrix, rng):
 
 
 def coteaching_iteration(m1, m2, x, y, r, s, lr):
-    """One cross-teaching step without swapping: each network's low-loss
-    picks update the other network.
+    """One cross-teaching step without swapping: each network ranks the
+    batch with one forward, and its step is the mean loss over its peer's
+    low-loss picks of that same forward.
 
     Written separately from canclab.training.canc_iteration, whose
     signature it shares so that it can stand in for it; s must be 0.
     """
     assert s == 0.0, "the co-teaching oracle has no swap step"
-    losses_1 = per_sample_loss(m1, x, y)
-    losses_2 = per_sample_loss(m2, x, y)
-    clean_1 = select_clean(losses_1, r)
-    clean_2 = select_clean(losses_2, r)
-    m2_new = sgd_step(m2, x[clean_1], y[clean_1], lr)
-    m1_new = sgd_step(m1, x[clean_2], y[clean_2], lr)
+    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
+    clean_1 = select_clean(per_sample_loss(fwd_1[0], y), r)
+    clean_2 = select_clean(per_sample_loss(fwd_2[0], y), r)
+    m2_new = sgd_step(m2, y, fwd_2, lr, clean_1)
+    m1_new = sgd_step(m1, y, fwd_1, lr, clean_2)
     empty = np.empty(0, dtype=np.int64)
     return m1_new, m2_new, IterationDiag(clean_1, empty, clean_2, empty)
+
+
+def gather_and_forward_step(net, x, y, clean, swap, lr):
+    """The peer step as a second forward over the chosen rows only: gather
+    the clean rows as labelled, then the swap rows with flipped labels, run
+    a fresh forward over that smaller batch, and step on its mean
+    cross-entropy.
+
+    Written separately from canclab.nn.sgd_step, which backprops the
+    ranking forward over the whole batch with the unchosen rows zeroed.
+    """
+    rows = np.concatenate([clean, swap])
+    labels = np.concatenate([y[clean], 1 - y[swap]])
+    logits, caches = _forward(net, x[rows])
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = expz / expz.sum(axis=1, keepdims=True)
+    dlogits[np.arange(len(rows)), labels] -= 1.0
+    grads = _backward(net, caches, dlogits / len(rows))
+    return replace(
+        net, params=tuple((w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads))
+    )
 
 
 def full_backward(net, caches, dlogits):

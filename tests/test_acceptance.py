@@ -22,6 +22,7 @@ from canclab import (
     apply_noise,
     build_mask_dataset,
     confusion,
+    forward,
     generate_scene,
     label_mask,
     loss_and_gradients,
@@ -96,24 +97,34 @@ def test_criterion_03_gradients_finite_difference():
     net = init_network(spec)
     x = np.clip(rng.normal(0.3, 0.2, (6, 8, 8, 1)), 0.0, 1.0)
     y = rng.integers(0, 2, 6)
-    _, grads = loss_and_gradients(net, x, y)
+    # the whole batch, and a peer step's masked mean: 4 of 6 rows chosen,
+    # one of them with its label flipped
+    y_peer = y.copy()
+    y_peer[3] = 1 - y_peer[3]
     h = 1e-5
     worst = 0.0
-    for li, (dw, db) in enumerate(grads):
-        for arr, g in ((net.params[li][0], dw), (net.params[li][1], db)):
-            for idx in np.ndindex(*arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up, _ = loss_and_gradients(net, x, y)
-                arr[idx] = orig - h
-                dn, _ = loss_and_gradients(net, x, y)
-                arr[idx] = orig
-                fd = (up - dn) / (2 * h)
-                rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
-                worst = max(worst, rel)
+    for labels, rows in ((y, None), (y_peer, [0, 2, 3, 5])):
+        _, grads = loss_and_gradients(net, labels, forward(net, x), rows)
+        for li, (dw, db) in enumerate(grads):
+            for arr, g in ((net.params[li][0], dw), (net.params[li][1], db)):
+                for idx in np.ndindex(*arr.shape):
+                    orig = arr[idx]
+                    arr[idx] = orig + h
+                    up, _ = loss_and_gradients(net, labels, forward(net, x), rows)
+                    arr[idx] = orig - h
+                    dn, _ = loss_and_gradients(net, labels, forward(net, x), rows)
+                    arr[idx] = orig
+                    fd = (up - dn) / (2 * h)
+                    rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
+                    worst = max(worst, rel)
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and elapsed < 30.0
-    _report(3, f"finite differences agree (max rel err {worst:.2e}, {elapsed:.1f} s)", ok)
+    _report(
+        3,
+        f"finite differences agree, whole batch and 4 of 6 rows "
+        f"(max rel err {worst:.2e}, {elapsed:.1f} s)",
+        ok,
+    )
 
 
 def test_criterion_04_selection_matches_full_sort_oracles():

@@ -373,9 +373,8 @@ def test_sweep_produces_all_cells(tmp_path):
     assert cells == ["vanilla_symmetric_eps0.2", "canc_symmetric_eps0.2"]
     for cell in cells:
         assert (tmp_path / cell / "summary.json").exists()
-    table = (tmp_path / "sweep_summary.csv").read_text().strip().split("\n")
-    assert len(table) == 3
-    assert json.loads((tmp_path / "sweep_summary.json").read_text())["rows"]
+    assert json.loads((tmp_path / "sweep_summary.json").read_text()) == summary
+    assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +550,28 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("split", ["0.85,0.15,0.0", "0.0,0.5,0.5", "0.5,0.0,0.5"])
+def test_cli_zero_split_fraction_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, split, command
+):
+    from canclab import cli, harness
+
+    calls = []
+    real_generate = harness.generate_scene
+
+    def counting_generate(*args, **kwargs):
+        calls.append(args)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_scene", counting_generate)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(TINY.replace("split = 0.6,0.2,0.2", f"split = {split}"))
+    assert cli.main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert calls == []
+    assert "split fractions" in capsys.readouterr().err
+
+
 def test_cli_data_error_exit_3(tmp_path):
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
@@ -595,7 +616,7 @@ def test_cli_sweep(tmp_path):
          "--out", str(tmp_path / "s")]
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "s" / "sweep_summary.csv").exists()
+    assert json.loads((tmp_path / "s" / "sweep_summary.json").read_text())["rows"]
 
 
 def test_cli_sweep_bad_grid_value_exit_2(tmp_path):

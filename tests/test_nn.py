@@ -14,6 +14,8 @@ from canclab import (
     NetworkSpec,
     NumericError,
     canc_iteration,
+    flip_labels,
+    forward,
     init_network,
     loss_and_gradients,
     parse_layers,
@@ -23,7 +25,7 @@ from canclab import (
     swap_logits,
 )
 from canclab import nn
-from canclab.nn import _backward, _forward, _per_sample_ce, layer_plan
+from canclab.nn import _backward, _forward, layer_plan
 from oracles import full_backward, zeroed
 
 
@@ -110,14 +112,15 @@ def test_init_he_uniform_bounds_and_zero_bias():
 def test_loss_is_ln2_at_equal_logits():
     # a zero-weight network produces equal logits for every sample
     net = zeroed(init_network(tiny_spec()))
-    losses = per_sample_loss(net, *rand_batch(tiny_spec()))
+    x, y = rand_batch(tiny_spec())
+    losses = per_sample_loss(forward(net, x)[0], y)
     assert np.all(losses == math.log(2.0))
 
 
 def test_loss_extremes_stay_finite():
     logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
     y = np.array([0, 0])
-    vals = _per_sample_ce(logits, y)
+    vals = per_sample_loss(logits, y)
     assert vals[0] == 0.0  # correct by a huge margin
     assert vals[1] == pytest.approx(2000.0)  # wrong by a huge margin, not inf
 
@@ -129,7 +132,7 @@ def test_loss_matches_naive_softmax_ce():
     naive = -np.log(
         np.exp(logits[np.arange(50), y]) / np.exp(logits).sum(axis=1)
     )
-    assert np.allclose(_per_sample_ce(logits, y), naive, rtol=1e-12, atol=1e-12)
+    assert np.allclose(per_sample_loss(logits, y), naive, rtol=1e-12, atol=1e-12)
 
 
 def test_predict_tie_goes_to_class_zero():
@@ -144,13 +147,13 @@ def test_predict_tie_goes_to_class_zero():
 
 def _loss_of(net, x, y):
     logits, _ = _forward(net, x)
-    return float(_per_sample_ce(logits, y).mean())
+    return float(per_sample_loss(logits, y).mean())
 
 
 def _max_rel_err(spec, n=4, data_seed=0):
     net = init_network(spec)
     x, y = rand_batch(spec, n=n, seed=data_seed)
-    _, grads = loss_and_gradients(net, x, y)
+    _, grads = loss_and_gradients(net, y, forward(net, x))
     h = 1e-5
     worst = 0.0
     for p, (dw, db) in enumerate(grads):
@@ -194,9 +197,14 @@ def test_gradients_stride_remainder():
 # sgd_step
 
 
+def step_on(net, x, y, lr):
+    """sgd_step on a fresh forward of net over x, every row chosen."""
+    return sgd_step(net, y, forward(net, x), lr)
+
+
 def test_sgd_step_zero_lr_is_identity():
     net = init_network(tiny_spec())
-    stepped = sgd_step(net, *rand_batch(tiny_spec()), 0.0)
+    stepped = step_on(net, *rand_batch(tiny_spec()), 0.0)
     for (w0, b0), (w1, b1) in zip(net.params, stepped.params):
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
@@ -204,23 +212,23 @@ def test_sgd_step_zero_lr_is_identity():
 def test_sgd_step_negative_lr_rejected():
     net = init_network(tiny_spec())
     with pytest.raises(ConfigError):
-        sgd_step(net, *rand_batch(tiny_spec()), -0.1)
+        step_on(net, *rand_batch(tiny_spec()), -0.1)
 
 
 def test_sgd_step_decreases_loss():
     net = init_network(tiny_spec(seed=2))
     x, y = rand_batch(tiny_spec(), n=8, seed=9)
-    before = float(per_sample_loss(net, x, y).mean())
+    before = _loss_of(net, x, y)
     for _ in range(20):
-        net = sgd_step(net, x, y, 0.5)
-    after = float(per_sample_loss(net, x, y).mean())
+        net = step_on(net, x, y, 0.5)
+    after = _loss_of(net, x, y)
     assert after < before
 
 
 def test_sgd_step_does_not_mutate_input_network():
     net = init_network(tiny_spec())
     snapshot = [(w.copy(), b.copy()) for w, b in net.params]
-    sgd_step(net, *rand_batch(tiny_spec()), 0.7)
+    step_on(net, *rand_batch(tiny_spec()), 0.7)
     for (w0, b0), (w1, b1) in zip(snapshot, net.params):
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
@@ -236,8 +244,8 @@ BITWISE_NETS = {
 @pytest.mark.parametrize("name", sorted(BITWISE_NETS))
 def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
     """Skipping the input gradient and transposing each conv weight once
-    must leave every gradient, and a step on chosen rows with some labels
-    flipped, bitwise as the full backward gives them."""
+    must leave every gradient, and a masked step on chosen rows with some
+    labels flipped, bitwise as the full backward gives them."""
     size, layers = BITWISE_NETS[name]
     spec = NetworkSpec(input_size=size, channels=1, layers=parse_layers(layers), seed=b)
     net = init_network(spec)
@@ -249,22 +257,22 @@ def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
     for (gw, gb), (ow, ob) in zip(_backward(net, caches, dlogits), full_backward(net, caches, dlogits)):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
 
-    # a peer batch as CANC builds it: chosen rows, then rows with flipped labels
+    # a peer step as CANC takes it: chosen rows of the forward above, some
+    # of them with flipped labels
     order = rng.permutation(b)
     n_keep = (3 * b) // 5
     keep, flip = order[:n_keep], order[n_keep : max(n_keep + 1, (4 * b) // 5)]
-    rows = np.concatenate([keep, flip])
-    peer_x, peer_y = x[rows], np.concatenate([y[keep], 1 - y[flip]])
-    got = sgd_step(net, peer_x, peer_y, 0.05)
+    rows, peer_y = np.concatenate([keep, flip]), flip_labels(y, flip)
+    got = sgd_step(net, peer_y, (logits, caches), 0.05, rows)
     monkeypatch.setattr(nn, "_backward", full_backward)
-    want = sgd_step(net, peer_x, peer_y, 0.05)
+    want = sgd_step(net, peer_y, (logits, caches), 0.05, rows)
     for (gw, gb), (ow, ob) in zip(got.params, want.params):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
 
 
 def test_swap_logits_inverts_predictions_and_leaves_input():
     net = init_network(tiny_spec(seed=3))
-    net = sgd_step(net, *rand_batch(tiny_spec(), n=8, seed=5), 0.5)  # nonzero biases
+    net = step_on(net, *rand_batch(tiny_spec(), n=8, seed=5), 0.5)  # nonzero biases
     snapshot = [(w.copy(), b.copy()) for w, b in net.params]
     x, _ = rand_batch(tiny_spec(), n=64, seed=4)
     pred = predict(net, x)
@@ -284,15 +292,15 @@ def test_non_finite_activation_raises_with_layer_index():
 
     broken = replace(net, params=((bad_w, net.params[0][1]),) + net.params[1:])
     with pytest.raises(NumericError) as err:
-        per_sample_loss(broken, *rand_batch(tiny_spec()))
+        forward(broken, rand_batch(tiny_spec())[0])
     assert err.value.layer == 0
 
 
 ENTRY_POINTS = {
     "canc_iteration": lambda net, x, y: canc_iteration(net, net, x, y, 1.0, 0.0, 0.1),
-    "per_sample_loss": per_sample_loss,
-    "loss_and_gradients": loss_and_gradients,
-    "sgd_step": lambda net, x, y: sgd_step(net, x, y, 0.1),
+    "per_sample_loss": lambda net, x, y: per_sample_loss(forward(net, x)[0], y),
+    "loss_and_gradients": lambda net, x, y: loss_and_gradients(net, y, forward(net, x)),
+    "sgd_step": lambda net, x, y: step_on(net, x, y, 0.1),
 }
 BAD_INPUTS = {
     "not_4d": (np.zeros((4, 12, 12)), np.zeros(4, dtype=np.int64)),

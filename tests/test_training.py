@@ -15,6 +15,7 @@ from canclab import (
     TrainConfig,
     canc_iteration,
     flip_labels,
+    forward,
     init_network,
     parse_layers,
     per_sample_loss,
@@ -26,7 +27,7 @@ from canclab import (
     train,
 )
 from canclab import nn, training
-from oracles import coteaching_iteration, zeroed
+from oracles import coteaching_iteration, gather_and_forward_step, zeroed
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(27,2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -197,19 +198,18 @@ def test_canc_iteration_counts():
 
 def manual_update(selector_net, updated_net, x, y, r, s, lr):
     """The peer update spelled out: rank losses, pick clean + swap sets,
-    flip the swap labels, concatenate, take one SGD step."""
-    losses = per_sample_loss(selector_net, x, y)
+    flip the swap labels, and step the updated network on the mean loss
+    over those rows of its own forward over the batch."""
+    losses = per_sample_loss(forward(selector_net, x)[0], y)
     clean = select_clean(losses, r)
     swap = select_swap(losses, s)
-    flipped = flip_labels(y, swap)
-    union_x = np.concatenate([x[clean], x[swap]])
-    union_y = np.concatenate([y[clean], flipped[swap]])
-    return sgd_step(updated_net, union_x, union_y, lr)
+    rows = np.concatenate([clean, swap])
+    return sgd_step(updated_net, flip_labels(y, swap), forward(updated_net, x), lr, rows)
 
 
 def test_canc_iteration_matches_manual_assembly_oracle():
     """The peer update must equal: rank losses, pick clean + swap sets,
-    flip the swap labels, concatenate, take one SGD step."""
+    flip the swap labels, step on the mean loss over those rows."""
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=12, seed=4)
@@ -225,15 +225,10 @@ def test_canc_iteration_matches_manual_assembly_oracle():
             assert np.allclose(bg, bw, rtol=1e-12, atol=0)
 
 
-def test_canc_iteration_forwards_ranked_batch_and_peer_rows_once(monkeypatch):
-    """Each network runs one forward over the batch to rank it and one over
-    the rows its peer picked, and the step is bitwise the rank, pick,
-    flip, assemble, SGD recipe.
-
-    The peer's rows are forwarded again rather than sliced out of the
-    ranking forward: the BLAS may pick another GEMM kernel for 25 rows than
-    for 64, so a conv output row can differ in its last bits between the
-    two (with the default network at B=64 it does on some machines)."""
+def test_canc_iteration_forwards_each_network_once(monkeypatch):
+    """Each network runs one forward over the batch, which both ranks the
+    batch and carries the network's step, and the step is bitwise the
+    rank, pick, flip, SGD recipe."""
     spec = NetworkSpec(
         input_size=32,
         channels=1,
@@ -255,10 +250,55 @@ def test_canc_iteration_forwards_ranked_batch_and_peer_rows_once(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(nn, "_forward", counting_forward)
         m1_new, m2_new, _ = canc_iteration(m1, m2, x, y, r, s, lr)
-    # two rank forwards, then each peer's 19 clean + 6 swapped rows
-    assert rows_seen == [64, 64, 25, 25]
+    # one forward per network over the whole batch, none for the steps
+    assert rows_seen == [64, 64]
     assert params_equal(m2_new, manual_update(m1, m2, x, y, r, s, lr))
     assert params_equal(m1_new, manual_update(m2, m1, x, y, r, s, lr))
+
+
+STEP_GRID_NETS = {
+    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
+    "smoke": (16, "conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)"),
+    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(147,2)"),
+    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(147,8) lrelu(0.1) dense(8,2)"),
+}
+STEP_GRID_RATES = ((1.0, 0.0), (0.9, 0.05), (0.75, 0.1), (0.5, 0.25), (0.55, 0.45))
+
+
+def bytes_equal(a, b):
+    return all(
+        wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+        for (wa, ba), (wb, bb) in zip(a.params, b.params)
+    )
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 33, 64, 256, 512])
+@pytest.mark.parametrize("name", sorted(STEP_GRID_NETS))
+def test_peer_step_matches_gather_and_forward_oracle(name, b):
+    """The step on the ranking forward against a fresh forward over only
+    the chosen rows: bitwise when every row is chosen (the vanilla step,
+    and CANC at R = 1, S = 0), and within 1e-13 otherwise, where the two
+    run GEMMs of different sizes."""
+    size, layers = STEP_GRID_NETS[name]
+    spec = NetworkSpec(input_size=size, channels=1, layers=parse_layers(layers))
+    everyone, nobody, lr = np.arange(b), np.empty(0, dtype=np.int64), 0.05
+    for seed in range(3):
+        m1 = init_network(replace(spec, seed=2 * seed + 1))
+        m2 = init_network(replace(spec, seed=2 * seed + 2))
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(0, 1, size=(b, size, size, 1)), rng.integers(0, 2, size=b)
+        want = gather_and_forward_step(m1, x, y, everyone, nobody, lr)
+        assert bytes_equal(sgd_step(m1, y, forward(m1, x), lr), want)
+        for r, s in STEP_GRID_RATES:
+            new1, new2, diag = canc_iteration(m1, m2, x, y, r, s, lr)
+            want1 = gather_and_forward_step(m1, x, y, diag.clean_for_m1, diag.swap_for_m1, lr)
+            want2 = gather_and_forward_step(m2, x, y, diag.clean_for_m2, diag.swap_for_m2, lr)
+            for got, want in ((new1, want1), (new2, want2)):
+                if r == 1.0:
+                    assert bytes_equal(got, want)
+                for (wg, bg), (ww, bw) in zip(got.params, want.params):
+                    assert np.max(np.abs(wg - ww)) <= 1e-13
+                    assert np.max(np.abs(bg - bw)) <= 1e-13
 
 
 def test_canc_s_zero_bitwise_equals_coteaching_iteration():
@@ -275,15 +315,14 @@ def test_cross_update_direction():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=6)
-    losses_1 = per_sample_loss(m1, x, y)
-    losses_2 = per_sample_loss(m2, x, y)
+    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
     new1, new2, _ = coteaching_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
 
-    sel2 = select_clean(losses_2, 0.5)
-    expect1 = sgd_step(m1, x[sel2], y[sel2], 0.1)
+    sel2 = select_clean(per_sample_loss(fwd_2[0], y), 0.5)
+    expect1 = sgd_step(m1, y, fwd_1, 0.1, sel2)
     assert params_equal(new1, expect1)
-    sel1 = select_clean(losses_1, 0.5)
-    expect2 = sgd_step(m2, x[sel1], y[sel1], 0.1)
+    sel1 = select_clean(per_sample_loss(fwd_1[0], y), 0.5)
+    expect2 = sgd_step(m2, y, fwd_2, 0.1, sel1)
     assert params_equal(new2, expect2)
     # and the selections genuinely differ between the two networks here
     assert sel1.tolist() != sel2.tolist()
@@ -348,13 +387,13 @@ def test_train_feeds_every_row_once_per_epoch(monkeypatch):
     # epoch one permutation of all 50 rows
     ds = toy_dataset(n=50, seed=1)
     fed = []
-    real_step = training.sgd_step
+    real_forward = training.forward
 
-    def recording_step(net, x, y, lr):
+    def recording_forward(net, x):
         fed.append(x)
-        return real_step(net, x, y, lr)
+        return real_forward(net, x)
 
-    monkeypatch.setattr(training, "sgd_step", recording_step)
+    monkeypatch.setattr(training, "forward", recording_forward)
     result = train(ds, ds, base_config(algo="vanilla", t_max=3, batch_size=16))
     assert [len(x) for x in fed] == [16, 16, 16, 2] * 3
     assert [rec.n_clean for rec in result.records] == [50, 50, 50]
