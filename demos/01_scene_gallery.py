@@ -24,7 +24,7 @@ patches, gt_patches, positions = tile_scene(scenes[0], m=m)
 print(f"\ntiling scene 0 at m={m}: {patches.shape[0]} masks of {m}x{m}")
 print(f"  first positions (row, col): {positions[:4].tolist()}")
 
-ds = build_mask_dataset(scenes, m=m, tau_label=0.01)
+ds = build_mask_dataset(scenes, len(scenes), m=m, tau_label=0.01)
 pos = int(ds.labels.sum())
 print(f"\ndataset over {len(scenes)} scenes: {ds.labels.size} masks, {pos} positive "
       f"({pos / ds.labels.size:.3f})")

@@ -21,8 +21,9 @@ print(symmetric_matrix(0.35).matrix)
 print("\nantisymmetric, epsilon=0.35 (only class 0 flips, one direction):")
 print(antisymmetric_matrix(0.35).matrix)
 
-scenes = [generate_scene(DataConfig(scene_size=256, seed=3), scene_id=i) for i in range(6)]
-ds = build_mask_dataset(scenes, m=16, tau_label=0.01)
+# scenes are drawn one at a time as the build consumes them
+scenes = (generate_scene(DataConfig(scene_size=256, seed=3), scene_id=i) for i in range(6))
+ds = build_mask_dataset(scenes, 6, m=16, tau_label=0.01)
 
 for kind in ("symmetric", "antisymmetric"):
     t = make_transition(kind, 0.45)

@@ -19,8 +19,8 @@ from canclab import (
 from canclab.data import split_dataset
 
 params = DataConfig(scene_size=256, seed=0, building_count=(8, 20), building_side=(16, 48))
-scenes = [generate_scene(params, scene_id=i) for i in range(8)]
-ds = build_mask_dataset(scenes, m=16, tau_label=0.01)
+scenes = (generate_scene(params, scene_id=i) for i in range(8))
+ds = build_mask_dataset(scenes, 8, m=16, tau_label=0.01)
 tr, ms, ev = split_dataset(ds, (0.7, 0.15, 0.15), seed=0)
 tr = inject(tr, make_transition("symmetric", 0.35), seed=1)
 

@@ -66,7 +66,8 @@ class DataConfig:
     """The [data] section: where the masks come from and how they are cut,
     labeled and split. With source = synthetic, generate_scene reads
     scene_size, channels, seed and the building, background and pixel
-    noise knobs; all ranges are inclusive and are checked here."""
+    noise knobs; all ranges are inclusive and are checked here, and so is
+    that m divides scene_size."""
 
     source: str = "synthetic"
     path: str = ""
@@ -94,6 +95,8 @@ class DataConfig:
             return
         if self.n_scenes < 1:
             raise ConfigError("n_scenes must be >= 1")
+        if self.m < 1 or self.scene_size % self.m != 0:
+            raise ConfigError(f"mask size {self.m} does not divide scene size {self.scene_size}")
         for name in ("building_count", "building_side"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
@@ -141,25 +144,29 @@ def generate_scene(d: DataConfig, scene_id: int = 0) -> Scene:
     return Scene(image=image, gt=gt, scene_id=scene_id)
 
 
-def tile_scene(scene: Scene, m: int):
-    """Cut the scene into (n/m)^2 non-overlapping m x m patches, row-major.
-
-    Returns (patches (K,m,m,C), gt_patches (K,m,m), positions (K,2)).
-    Concatenating the patches back in grid order reproduces the scene
-    pixel-exactly.
-    """
+def _grid(scene: Scene, m: int):
+    """The scene's image and ground truth as (g, g, m, m, C) and (g, g, m, m)
+    views: entry [r, c] is the m x m patch in grid row r, column c."""
     n = scene.size
     if m < 1 or n % m != 0:
         raise ConfigError(f"mask size {m} does not divide scene size {n}")
     g = n // m
-    c = scene.image.shape[2]
-    patches = (
-        scene.image.reshape(g, m, g, m, c).transpose(0, 2, 1, 3, 4).reshape(g * g, m, m, c)
-    )
-    gt_patches = scene.gt.reshape(g, m, g, m).transpose(0, 2, 1, 3).reshape(g * g, m, m)
-    rows, cols = np.divmod(np.arange(g * g), g)
-    positions = np.stack([rows, cols], axis=1)
-    return patches.copy(), gt_patches.copy(), positions
+    image = scene.image.reshape(g, m, g, m, -1).transpose(0, 2, 1, 3, 4)
+    return image, scene.gt.reshape(g, m, g, m).transpose(0, 2, 1, 3)
+
+
+def tile_scene(scene: Scene, m: int):
+    """Cut the scene into (n/m)^2 non-overlapping m x m patches, row-major.
+
+    Returns (patches (K,m,m,C), gt_patches (K,m,m), positions (K,2)): copies
+    of the grid view that build_mask_dataset writes its masks from.
+    Concatenating the patches back in grid order reproduces the scene
+    pixel-exactly.
+    """
+    image, gt = _grid(scene, m)
+    g = len(image)
+    positions = np.stack(np.divmod(np.arange(g * g), g), axis=1)
+    return image.copy().reshape(g * g, m, m, -1), gt.copy().reshape(g * g, m, m), positions
 
 
 def _label_patches(gt_patches: np.ndarray, tau_label: float) -> np.ndarray:
@@ -228,25 +235,40 @@ class MaskDataset:
         )
 
 
-def build_mask_dataset(scenes, m: int, tau_label: float) -> MaskDataset:
-    """Tile every scene and label each mask; mask order is scene-major,
-    then row-major within the scene."""
-    all_patches, labels, sids, rows, cols = [], [], [], [], []
-    for scene in scenes:
-        patches, gt_patches, positions = tile_scene(scene, m)
-        all_patches.append(patches)
-        labels.append(_label_patches(gt_patches, tau_label))
-        sids.append(np.full(len(patches), scene.scene_id, dtype=np.int64))
-        rows.append(positions[:, 0].astype(np.int64))
-        cols.append(positions[:, 1].astype(np.int64))
-    if not all_patches:
+def build_mask_dataset(scenes, n_scenes: int, m: int, tau_label: float) -> MaskDataset:
+    """Tile and label the n_scenes equal-sized scenes of the iterable scenes,
+    one at a time: each scene's masks are written straight into one
+    preallocated (n_scenes * g^2, m, m, C) array and labelled, and the scene
+    is not kept, so with a lazy iterable no list of scenes or of per-scene
+    tiles is ever held. Mask order is scene-major, then row-major within
+    the scene."""
+    if n_scenes < 1:
         raise ConfigError("no scenes given")
+    patches = labels = sids = None
+    k = -1
+    for k, scene in enumerate(scenes):
+        if k == n_scenes:
+            raise ConfigError(f"more than the {n_scenes} scenes expected")
+        image, gt = _grid(scene, m)
+        g = len(image)
+        if patches is None:
+            patches = np.empty((n_scenes,) + image.shape)
+            labels = np.empty((n_scenes, g * g), dtype=np.int64)
+            sids = np.empty((n_scenes, g * g), dtype=np.int64)
+        if image.shape != patches.shape[1:]:
+            raise DataError(f"scene {scene.scene_id} is {scene.image.shape}, unlike the first scene")
+        patches[k] = image
+        labels[k] = _label_patches(gt.reshape(g * g, m * m), tau_label)
+        sids[k] = scene.scene_id
+    if k + 1 != n_scenes:
+        raise ConfigError(f"{k + 1} scenes given, {n_scenes} expected")
+    rows, cols = np.divmod(np.tile(np.arange(g * g), n_scenes), g)
     return MaskDataset(
-        patches=np.concatenate(all_patches),
-        labels=np.concatenate(labels),
-        scene_ids=np.concatenate(sids),
-        rows=np.concatenate(rows),
-        cols=np.concatenate(cols),
+        patches=patches.reshape(-1, m, m, patches.shape[-1]),
+        labels=labels.reshape(-1),
+        scene_ids=sids.reshape(-1),
+        rows=rows,
+        cols=cols,
     )
 
 

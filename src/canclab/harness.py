@@ -88,13 +88,14 @@ def _write_atomic(path: str, data) -> None:
 
 
 def _build_split_noise(cfg: ExperimentConfig):
-    """Build or read the whole mask dataset, split it, and inject label
-    noise into the training partition (and optionally the model-selection
-    partition). Returns (whole, train, modelsel, eval)."""
+    """Build the whole mask dataset from scenes drawn one at a time, or read
+    it, split it, and inject label noise into the training partition (and
+    optionally the model-selection partition). Returns (whole, train,
+    modelsel, eval)."""
     d = cfg.data
     if d.source == "synthetic":
-        scenes = [generate_scene(d, scene_id=i) for i in range(d.n_scenes)]
-        ds = build_mask_dataset(scenes, d.m, d.tau_label)
+        scenes = (generate_scene(d, scene_id=i) for i in range(d.n_scenes))
+        ds = build_mask_dataset(scenes, d.n_scenes, d.m, d.tau_label)
     else:
         ds = read_dataset(d.path)
         if ds.clean_labels is not None:

@@ -29,6 +29,7 @@ is formed.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import re
 from dataclasses import dataclass, replace
@@ -54,6 +55,29 @@ __all__ = [
 ]
 
 _PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
+
+
+def _fix_malloc_thresholds():
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    By default glibc maps every block above an mmap threshold afresh and
+    raises that threshold to the largest mapped block freed so far. After
+    the streamed dataset build it can sit below the im2col temporaries
+    (2.5 MB at B=64, 20 MB at B=512), which are then mapped and
+    page-faulted anew on every forward. Setting either threshold switches
+    the adaptation off and leaves the other at its 128 KiB default, so both
+    are set. A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 
 # ---------------------------------------------------------------------------

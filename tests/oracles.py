@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from canclab import forward, per_sample_loss, select_clean, sgd_step
+from canclab import ConfigError, MaskDataset, forward, per_sample_loss, select_clean, sgd_step
+from canclab.data import _label_patches
 from canclab.nn import _backward, _forward
 from canclab.training import IterationDiag
 
@@ -108,3 +109,35 @@ def full_backward(net, caches, dlogits):
             _, pre, layer = cache
             d = np.where(pre > 0, d, layer.slope * d)
     return grads
+
+
+def concatenated_mask_dataset(scenes, m, tau_label):
+    """Tile each scene into its own copies, label them, and concatenate the
+    per-scene arrays: scene-major, then row-major within the scene.
+
+    Written separately from canclab.data.build_mask_dataset, which writes
+    each scene's masks into one preallocated array as the scenes arrive.
+    """
+    all_patches, labels, sids, rows, cols = [], [], [], [], []
+    for scene in scenes:
+        n, c = scene.size, scene.image.shape[2]
+        if m < 1 or n % m != 0:
+            raise ConfigError(f"mask size {m} does not divide scene size {n}")
+        g = n // m
+        patches = scene.image.reshape(g, m, g, m, c).transpose(0, 2, 1, 3, 4).reshape(g * g, m, m, c)
+        gt_patches = scene.gt.reshape(g, m, g, m).transpose(0, 2, 1, 3).reshape(g * g, m, m)
+        r, col = np.divmod(np.arange(g * g), g)
+        all_patches.append(patches.copy())
+        labels.append(_label_patches(gt_patches, tau_label))
+        sids.append(np.full(g * g, scene.scene_id, dtype=np.int64))
+        rows.append(r.astype(np.int64))
+        cols.append(col.astype(np.int64))
+    if not all_patches:
+        raise ConfigError("no scenes given")
+    return MaskDataset(
+        patches=np.concatenate(all_patches),
+        labels=np.concatenate(labels),
+        scene_ids=np.concatenate(sids),
+        rows=np.concatenate(rows),
+        cols=np.concatenate(cols),
+    )

@@ -160,7 +160,7 @@ def test_criterion_05_remember_rate_schedule_exact():
 def _tiny_dataset(seed=3, n_scenes=4, size=128, m=16):
     params = DataConfig(scene_size=size, seed=seed)
     scenes = [generate_scene(params, scene_id=i) for i in range(n_scenes)]
-    ds = build_mask_dataset(scenes, m=m, tau_label=0.01)
+    ds = build_mask_dataset(scenes, n_scenes, m=m, tau_label=0.01)
     rng = np.random.default_rng(7)
     noisy = apply_noise(ds.labels, symmetric_matrix(0.35), rng)
     return ds.with_labels(noisy, clean_labels=ds.labels)

@@ -23,6 +23,7 @@ from canclab import (
 )
 from canclab.config import parse_config_text
 from canclab.data import NO_LABEL
+from oracles import concatenated_mask_dataset
 
 
 def small_params(**kw):
@@ -70,6 +71,13 @@ def test_scene_param_validation():
         parse_config_text("[data]\nbuilding_count = 5,2\n")
     # a file source generates no scenes, so its scene knobs go unchecked
     DataConfig(source="file", path="masks.bin", building_count=(5, 2))
+
+
+@pytest.mark.parametrize("m", [12, 0, -16])
+def test_mask_size_must_divide_scene_size_at_load(m):
+    with pytest.raises(ConfigError, match="does not divide"):
+        DataConfig(scene_size=64, m=m)
+    DataConfig(source="file", path="masks.bin", scene_size=64, m=m)  # the file decides
 
 
 def test_scene_shape_validation():
@@ -128,7 +136,7 @@ def test_label_mask_threshold_is_inclusive():
 
 def test_labels_match_bruteforce_over_dataset():
     scene = generate_scene(small_params(seed=9))
-    ds = build_mask_dataset([scene], m=8, tau_label=0.01)
+    ds = build_mask_dataset([scene], 1, m=8, tau_label=0.01)
     _, gt_patches, _ = tile_scene(scene, 8)
     expect = (gt_patches.sum(axis=(1, 2)) / 64.0 >= 0.01).astype(np.int64)
     assert np.array_equal(ds.labels, expect)
@@ -145,7 +153,7 @@ def test_dataset_labels_match_label_mask_on_a_pixel_count_boundary():
     partial = np.sort(counts[(counts > 0) & (counts < m * m)])
     boundary = int(partial[len(partial) // 2])
     tau = boundary / (m * m)
-    ds = build_mask_dataset([scene], m=m, tau_label=tau)
+    ds = build_mask_dataset([scene], 1, m=m, tau_label=tau)
     assert ds.labels.tolist() == [label_mask(gp, tau) for gp in gt_patches]
     assert ds.labels[counts == boundary].all()
     assert not ds.labels[counts < boundary].any()
@@ -154,11 +162,56 @@ def test_dataset_labels_match_label_mask_on_a_pixel_count_boundary():
 
 def test_build_mask_dataset_orders_scene_major():
     scenes = [generate_scene(small_params(), scene_id=i) for i in range(3)]
-    ds = build_mask_dataset(scenes, m=16, tau_label=0.01)
+    ds = build_mask_dataset(scenes, 3, m=16, tau_label=0.01)
     per = (64 // 16) ** 2
     assert len(ds) == 3 * per
     assert np.array_equal(ds.scene_ids[:per], np.zeros(per, dtype=np.int64))
     assert np.array_equal(np.unique(ds.scene_ids), [0, 1, 2])
+
+
+def boundary_tau(scene, m):
+    """A tau_label that partly covered masks of the scene meet exactly: the
+    median building-pixel count of those masks over m * m."""
+    _, gt_patches, _ = tile_scene(scene, m)
+    counts = gt_patches.reshape(len(gt_patches), -1).sum(axis=1)
+    partial = np.sort(counts[(counts > 0) & (counts < m * m)])
+    return int(partial[len(partial) // 2]) / (m * m)
+
+
+@pytest.mark.parametrize("tau", ["0.01", "boundary"])
+@pytest.mark.parametrize("n_scenes", [1, 3])
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_build_mask_dataset_matches_concatenated_oracle_bitwise(channels, m, n_scenes, tau):
+    scenes = [generate_scene(small_params(channels=channels, seed=5), scene_id=10 + i)
+              for i in range(n_scenes)]
+    tau_label = 0.01 if tau == "0.01" else boundary_tau(scenes[0], m)
+    expect = concatenated_mask_dataset(scenes, m, tau_label)
+    got = build_mask_dataset(iter(scenes), n_scenes, m, tau_label)
+    for name in ("patches", "labels", "scene_ids", "rows", "cols"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("build", [
+    lambda scenes, m: build_mask_dataset(scenes, len(scenes), m, 0.01),
+    lambda scenes, m: concatenated_mask_dataset(scenes, m, 0.01),
+], ids=["build", "oracle"])
+def test_build_mask_dataset_rejects_no_scenes_and_a_non_divisor(build):
+    with pytest.raises(ConfigError, match="no scenes"):
+        build([], 16)
+    with pytest.raises(ConfigError, match="does not divide"):
+        build([generate_scene(small_params())], 12)
+
+
+def test_build_mask_dataset_rejects_a_scene_count_or_size_it_was_not_given():
+    scene = generate_scene(small_params())
+    with pytest.raises(ConfigError, match="1 scenes given, 2 expected"):
+        build_mask_dataset([scene], 2, 16, 0.01)
+    with pytest.raises(ConfigError, match="more than the 1 scenes"):
+        build_mask_dataset([scene, scene], 1, 16, 0.01)
+    with pytest.raises(DataError, match="unlike the first scene"):
+        build_mask_dataset([scene, generate_scene(small_params(scene_size=128))], 2, 16, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +221,7 @@ def test_build_mask_dataset_orders_scene_major():
 def make_dataset(n_scenes=10, m=16):
     params = small_params()
     scenes = [generate_scene(params, scene_id=i) for i in range(n_scenes)]
-    return build_mask_dataset(scenes, m=m, tau_label=0.01)
+    return build_mask_dataset(scenes, n_scenes, m=m, tau_label=0.01)
 
 
 def test_split_disjoint_and_exhaustive():

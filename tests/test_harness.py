@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -377,6 +378,23 @@ def test_sweep_produces_all_cells(tmp_path):
     assert not (tmp_path / "sweep_summary.csv").exists()
 
 
+def test_prepare_data_holds_one_scene_at_a_time(monkeypatch):
+    from canclab import harness
+
+    alive, real_generate = [], harness.generate_scene
+
+    def tracked_generate(*args, **kwargs):
+        # the build still holds the scene it wrote last, never an older one
+        assert sum(ref() is not None for ref in alive) <= 1
+        scene = real_generate(*args, **kwargs)
+        alive.append(weakref.ref(scene))
+        return scene
+
+    monkeypatch.setattr(harness, "generate_scene", tracked_generate)
+    prepare_data(tiny_cfg())
+    assert len(alive) == tiny_cfg().data.n_scenes
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -550,11 +568,9 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["run", "gen-data"])
-@pytest.mark.parametrize("split", ["0.85,0.15,0.0", "0.0,0.5,0.5", "0.5,0.0,0.5"])
-def test_cli_zero_split_fraction_exit_2_before_any_scene(
-    monkeypatch, tmp_path, capsys, split, command
-):
+def exit_2_before_any_scene(monkeypatch, tmp_path, command, text):
+    """Run command on the config text through cli.main and assert that it
+    returns 2 without drawing a scene."""
     from canclab import cli, harness
 
     calls = []
@@ -566,10 +582,28 @@ def test_cli_zero_split_fraction_exit_2_before_any_scene(
 
     monkeypatch.setattr(harness, "generate_scene", counting_generate)
     cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text(TINY.replace("split = 0.6,0.2,0.2", f"split = {split}"))
+    cfg_path.write_text(text)
     assert cli.main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("split", ["0.85,0.15,0.0", "0.0,0.5,0.5", "0.5,0.0,0.5"])
+def test_cli_zero_split_fraction_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, split, command
+):
+    text = TINY.replace("split = 0.6,0.2,0.2", f"split = {split}")
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, text)
     assert "split fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("m", ["12", "0"])
+def test_cli_mask_size_not_dividing_scene_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, m, command
+):
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace("m = 16", f"m = {m}"))
+    assert f"mask size {m} does not divide scene size 128" in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_3(tmp_path):

@@ -106,7 +106,7 @@ def test_labels_out_of_range_rejected():
 
 def test_inject_keeps_clean_labels_and_input_untouched():
     params = DataConfig(scene_size=64, building_count=(2, 4), building_side=(8, 16), seed=0)
-    ds = build_mask_dataset([generate_scene(params, scene_id=i) for i in range(2)], 16, 0.01)
+    ds = build_mask_dataset((generate_scene(params, scene_id=i) for i in range(2)), 2, 16, 0.01)
     before = ds.labels.copy()
     noisy = inject(ds, symmetric_matrix(0.5), seed=11)
     assert np.array_equal(ds.labels, before)  # input untouched
