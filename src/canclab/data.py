@@ -66,8 +66,9 @@ class DataConfig:
     """The [data] section: where the masks come from and how they are cut,
     labeled and split. With source = synthetic, generate_scene reads
     scene_size, channels, seed and the building, background and pixel
-    noise knobs; all ranges are inclusive and are checked here, and so is
-    that m divides scene_size."""
+    noise knobs; all ranges are inclusive and are checked here, and so are
+    that m divides scene_size and that the split leaves no partition
+    empty."""
 
     source: str = "synthetic"
     path: str = ""
@@ -97,6 +98,10 @@ class DataConfig:
             raise ConfigError("n_scenes must be >= 1")
         if self.m < 1 or self.scene_size % self.m != 0:
             raise ConfigError(f"mask size {self.m} does not divide scene size {self.scene_size}")
+        # every scene gives (scene_size / m)^2 masks, so an empty partition
+        # is known before any scene is drawn
+        masks_per_scene = (self.scene_size // self.m) ** 2
+        _split_indices(np.repeat(np.arange(self.n_scenes), masks_per_scene), self.split, self.seed)
         for name in ("building_count", "building_side"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
@@ -281,6 +286,13 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
     partition that was requested with a positive fraction but comes out
     empty raises ConfigError.
     """
+    return tuple(ds.take(idx) for idx in _split_indices(ds.scene_ids, fractions, seed))
+
+
+def _split_indices(scene_ids, fractions, seed: int):
+    """split_dataset on the masks' scene ids alone: the sorted (train,
+    modelsel, eval) row indices. DataConfig runs it on a synthetic
+    source's scene ids at load."""
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0 for x in f):
         raise ConfigError(f"fractions must be three non-negative numbers, got {fractions}")
@@ -289,10 +301,10 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
     f_train, f_modelsel, f_eval = f
     rng = np.random.default_rng(seed)
 
-    scene_ids = np.unique(ds.scene_ids)
-    n_eval_scenes = int(round(f_eval * len(scene_ids)))
-    eval_scenes = rng.permutation(scene_ids)[:n_eval_scenes]
-    eval_mask = np.isin(ds.scene_ids, eval_scenes)
+    scenes = np.unique(scene_ids)
+    n_eval_scenes = int(round(f_eval * len(scenes)))
+    eval_scenes = rng.permutation(scenes)[:n_eval_scenes]
+    eval_mask = np.isin(scene_ids, eval_scenes)
     eval_idx = np.flatnonzero(eval_mask)
 
     pool = np.flatnonzero(~eval_mask)
@@ -308,7 +320,7 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
     ):
         if frac > 0 and len(idx) == 0:
             raise ConfigError(f"{name} partition is empty at fraction {frac}")
-    return ds.take(np.sort(train_idx)), ds.take(np.sort(modelsel_idx)), ds.take(np.sort(eval_idx))
+    return np.sort(train_idx), np.sort(modelsel_idx), np.sort(eval_idx)
 
 
 # ---------------------------------------------------------------------------

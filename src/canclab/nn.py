@@ -22,14 +22,24 @@ loss_and_gradients(net, y, fwd, rows) exposes that loss and its gradients;
 rows defaults to the whole batch. Unchosen rows enter the backward with a
 zero gradient, so a step runs no forward of its own and every GEMM of it
 has B rows, whatever the choice. predict(net, x) labels any number of
-rows, in forwards over fixed chunks. Backprop stops at the first
+rows, in forwards over fixed chunks, and with twin=True also gives
+swap_logits(net)'s labels from the same logits. Backprop stops at the first
 parametric layer's weights: no gradient with respect to the network input
 is formed.
+
+A conv layer's forward gathers its im2col matrix with one np.take over a
+cached table of tap offsets (_taps). That matrix is, value for value and
+in the same C-contiguous layout, the one np.tensordot over the windows
+view builds by a strided reshape copy, and it meets the same weight matrix
+in the same np.dot, so the result is bitwise tensordot's; the gather is
+only faster. The cache keeps the windows view for the backward's dW
+tensordot.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -238,6 +248,18 @@ def _check_input(net: Network, x) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(in_shape: tuple, k: int, s: int) -> np.ndarray:
+    """Flat offset, within one sample of shape in_shape = (H, W, C), of
+    every tap of every k x k stride-s window, in the (H', W', C, k, k)
+    order of the windows view, which is the order tensordot's reshape
+    copy of that view lays out."""
+    flat = np.arange(math.prod(in_shape)).reshape((1,) + in_shape)
+    taps = sliding_window_view(flat, (k, k), axis=(1, 2))[:, ::s, ::s].ravel()
+    taps.flags.writeable = False
+    return taps
+
+
 def _forward(net: Network, x: np.ndarray):
     """Run the network, keeping per-layer caches for backprop.
 
@@ -252,11 +274,16 @@ def _forward(net: Network, x: np.ndarray):
         if isinstance(layer, Conv):
             w, b = net.params[p]
             p += 1
-            s = layer.stride
-            windows = sliding_window_view(out, (layer.kernel_size, layer.kernel_size), axis=(1, 2))
-            windows = windows[:, ::s, ::s]  # (B, H', W', C, k, k)
+            k, s = layer.kernel_size, layer.stride
+            windows = sliding_window_view(out, (k, k), axis=(1, 2))[:, ::s, ::s]  # (B,H',W',C,k,k)
             caches.append(("conv", windows, layer, out.shape))
-            out = np.tensordot(windows, w, axes=([3, 4, 5], [2, 0, 1])) + b
+            cols = np.take(out.reshape(len(out), -1), _taps(out.shape[1:], k, s), axis=1)
+            out = np.dot(cols.reshape(-1, w.shape[2] * k * k),
+                         w.transpose(2, 0, 1, 3).reshape(-1, layer.channels))
+            # free cols, then add b into a fresh array, in tensordot's order:
+            # adding in place left another heap layout and 3 MB more peak RSS
+            del cols
+            out = out.reshape(windows.shape[:3] + (layer.channels,)) + b
         elif isinstance(layer, Dense):
             w, b = net.params[p]
             p += 1
@@ -342,17 +369,23 @@ def per_sample_loss(logits: np.ndarray, y) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def predict(net: Network, x) -> np.ndarray:
+def predict(net: Network, x, twin: bool = False) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
     label 0. No labels needed, unlike the loss entry points. Forwards run
     over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
-    whatever B is and reruns are bitwise identical."""
+    whatever B is and reruns are bitwise identical.
+
+    With twin, a (2, B) array: those labels, then swap_logits(net)'s, read
+    from the same logits as the argmax of their reversed columns. The
+    twin's forward differs only in the last dense layer's two output
+    columns, so its logits are these reversed and its labels the same."""
     x = _check_input(net, x)
-    out = np.empty(len(x), dtype=np.int64)
+    out = np.empty((2, len(x)), dtype=np.int64)
     for start in range(0, len(x), _PREDICT_CHUNK):
         logits, _ = _forward(net, x[start : start + _PREDICT_CHUNK])
-        out[start : start + _PREDICT_CHUNK] = np.argmax(logits, axis=1)
-    return out
+        out[0, start : start + _PREDICT_CHUNK] = np.argmax(logits, axis=1)
+        out[1, start : start + _PREDICT_CHUNK] = np.argmax(logits[:, ::-1], axis=1)
+    return out if twin else out[0]
 
 
 def loss_and_gradients(net: Network, y, fwd, rows=None):
@@ -360,12 +393,20 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
     against the labels y, plus its exact gradients w.r.t. every parameter.
 
     rows indexes the chosen rows, each at most once; None chooses all B.
-    The other rows enter the backward with a zero gradient.
+    The other rows enter the backward with a zero gradient. A row outside
+    [0, B) is a ValueError.
     """
     logits, caches = fwd
     losses = per_sample_loss(logits, y)
     b, y = len(logits), np.asarray(y, dtype=np.int64)
-    chosen = np.ones(b, dtype=bool) if rows is None else np.isin(np.arange(b), rows)
+    if rows is None:
+        chosen = np.ones(b, dtype=bool)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and not 0 <= rows.min() <= rows.max() < b:
+            raise ValueError(f"chosen rows must lie in [0, {b})")
+        chosen = np.zeros(b, dtype=bool)
+        chosen[rows] = True
     if not chosen.any():
         raise ValueError("a step needs at least one chosen row")
     expz = np.exp(logits - logits.max(axis=1, keepdims=True))

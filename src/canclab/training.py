@@ -223,8 +223,12 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     return m1_new, m2_new, IterationDiag(clean_1, swap_1, clean_2, swap_2)
 
 
-def dataset_metrics(net: Network, ds: MaskDataset) -> PRF1:
-    """Metrics of one network against the dataset's stored labels."""
+def dataset_metrics(net: Network, ds: MaskDataset, twin: bool = False):
+    """Metrics of one network against the dataset's stored labels. With
+    twin, the pair of net's and swap_logits(net)'s metrics, both read from
+    one chunked forward of net (see predict)."""
+    if twin:
+        return tuple(prf1(confusion(ds.labels, p)) for p in predict(net, ds.patches, twin=True))
     return prf1(confusion(ds.labels, predict(net, ds.patches)))
 
 
@@ -252,11 +256,11 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     training labels fit the inverted concept as well as a lower noise rate
     fits the true one, so only the model-selection split can tell the two
     apart. Each epoch's candidate is the network scoring max(a, 1 - a) on
-    it; if that network scores a < 1/2, its swap_logits twin is scored
-    exactly and, when it does better, replaces it as the candidate, in the
-    record's metrics and as best_network. The twin never feeds back into
-    training: final_networks and every selection and swap are the same as
-    without it.
+    it; if that network scores a < 1/2 and its swap_logits twin, scored
+    exactly from the same forward, does better, the twin replaces it as
+    the candidate, in the record's metrics and as best_network. The twin
+    never feeds back into training: final_networks and every selection and
+    swap are the same as without it.
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
@@ -307,15 +311,13 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
         # epoch bookkeeping: score both networks on the model-selection
         # split up to polarity (tie -> network 1), then read the pick
         # through its swapped logits if that scores higher
-        modelsel_all = [dataset_metrics(net, modelsel_ds) for net in nets]
-        polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for m in modelsel_all]
+        modelsel_all = [dataset_metrics(net, modelsel_ds, twin=True) for net in nets]
+        polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for m, _ in modelsel_all]
         pick = 1 if len(nets) == 2 and polarity_free[1] > polarity_free[0] else 0
-        candidate, modelsel_metrics, inverted = nets[pick], modelsel_all[pick], False
-        if modelsel_metrics.accuracy < 0.5:
-            twin = swap_logits(candidate)
-            twin_metrics = dataset_metrics(twin, modelsel_ds)
-            if twin_metrics.accuracy > modelsel_metrics.accuracy:
-                candidate, modelsel_metrics, inverted = twin, twin_metrics, True
+        candidate, inverted = nets[pick], False
+        modelsel_metrics, twin_metrics = modelsel_all[pick]
+        if modelsel_metrics.accuracy < 0.5 and twin_metrics.accuracy > modelsel_metrics.accuracy:
+            candidate, modelsel_metrics, inverted = swap_logits(candidate), twin_metrics, True
         train_metrics = dataset_metrics(candidate, train_ds)
         swap_fraction = n_swap_correct / n_swapped if (n_swapped and clean_ref is not None) else math.nan
         records.append(

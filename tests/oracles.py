@@ -4,10 +4,11 @@ independent oracles for the tests."""
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from canclab import ConfigError, MaskDataset, forward, per_sample_loss, select_clean, sgd_step
 from canclab.data import _label_patches
-from canclab.nn import _backward, _forward
+from canclab.nn import Conv, Dense, _backward, _forward
 from canclab.training import IterationDiag
 
 
@@ -69,6 +70,39 @@ def gather_and_forward_step(net, x, y, clean, swap, lr):
     return replace(
         net, params=tuple((w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads))
     )
+
+
+def tensordot_forward(net, x):
+    """The forward with each conv layer as one tensordot over the windows
+    view, which copies the windows into its im2col matrix by a strided
+    reshape.
+
+    Written separately from canclab.nn._forward, whose signature, result
+    and caches it shares; that one gathers the same matrix with np.take.
+    """
+    caches = []
+    out = x
+    p = 0
+    for layer in net.spec.layers:
+        if isinstance(layer, Conv):
+            w, b = net.params[p]
+            p += 1
+            s = layer.stride
+            windows = sliding_window_view(out, (layer.kernel_size, layer.kernel_size), axis=(1, 2))
+            windows = windows[:, ::s, ::s]  # (B, H', W', C, k, k)
+            caches.append(("conv", windows, layer, out.shape))
+            out = np.tensordot(windows, w, axes=([3, 4, 5], [2, 0, 1])) + b
+        elif isinstance(layer, Dense):
+            w, b = net.params[p]
+            p += 1
+            pre_shape = out.shape
+            flat = out.reshape(out.shape[0], -1)
+            caches.append(("dense", flat, pre_shape))
+            out = flat @ w + b
+        else:  # LeakyRelu
+            caches.append(("lrelu", out, layer))
+            out = np.where(out > 0, out, layer.slope * out)
+    return out, caches
 
 
 def full_backward(net, caches, dlogits):

@@ -606,6 +606,22 @@ def test_cli_mask_size_not_dividing_scene_exit_2_before_any_scene(
     assert f"mask size {m} does not divide scene size 128" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("key, value, error", [
+    ("split", "0.9,0.05,0.05", "eval partition is empty"),  # round(0.05 * 6 scenes) = 0
+    ("n_scenes", "1", "eval partition is empty"),  # round(0.2 * 1 scene) = 0
+    ("split", "0.5,0.0001,0.4999", "modelsel partition is empty"),  # train takes all 192
+    ("split", "0.0001,0.5,0.4999", "train partition is empty"),  # round(0.0002 * 192) = 0
+    ("split", "0.5,0.2,0.2", "fractions must sum to 1"),
+])
+def test_cli_split_that_cannot_be_made_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, key, value, error, command
+):
+    old = {"split": "split = 0.6,0.2,0.2", "n_scenes": "n_scenes = 6"}[key]
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace(old, f"{key} = {value}"))
+    assert error in capsys.readouterr().err
+
+
 def test_cli_data_error_exit_3(tmp_path):
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")

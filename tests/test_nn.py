@@ -1,6 +1,7 @@
 """Network tests: layer grammar, shape planning, init determinism, loss
 values, and gradient correctness against central finite differences."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from canclab import (
 )
 from canclab import nn
 from canclab.nn import _backward, _forward, layer_plan
-from oracles import full_backward, zeroed
+from oracles import full_backward, tensordot_forward, zeroed
 
 
 def tiny_spec(seed=0):
@@ -268,6 +269,55 @@ def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
     want = sgd_step(net, peer_y, (logits, caches), 0.05, rows)
     for (gw, gb), (ow, ob) in zip(got.params, want.params):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
+
+
+def bitwise_equal(a, b):
+    """a and b hold the same values with the same shapes and dtypes, bit
+    for bit, through nested tuples and lists."""
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(bitwise_equal(u, v) for u, v in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+def test_forward_bitwise_equals_tensordot_oracle_over_conv_shapes(b):
+    """The window gather must lay out the matrix tensordot builds: over
+    sides, channels, kernels (1x1 and as large as the input), strides and
+    output maps, the logits and every cache entry are bitwise the oracle's."""
+    shapes = itertools.product([5, 12], [1, 3], [1, 2, 5], [1, 2, 3], [1, 6])
+    for i, (h, c, k, s, o) in enumerate(shapes):
+        side = (h - k) // s + 1
+        layers = parse_layers(f"conv({o},{k},{s}) lrelu(0.1) dense({side * side * o},2)")
+        net = init_network(NetworkSpec(input_size=h, channels=c, layers=layers, seed=i))
+        x = np.random.default_rng(i).uniform(0.0, 1.0, size=(b, h, h, c))
+        assert bitwise_equal(_forward(net, x), tensordot_forward(net, x)), (h, c, k, s, o)
+
+
+@pytest.mark.parametrize("b", [1, 7, 64, 512])
+def test_forward_bitwise_equals_tensordot_oracle_on_default_network(b):
+    size, layers = BITWISE_NETS["default"]
+    spec = NetworkSpec(input_size=size, channels=1, layers=parse_layers(layers), seed=b)
+    net = init_network(spec)
+    x = np.random.default_rng(b).uniform(0.0, 1.0, size=(b, size, size, 1))
+    assert bitwise_equal(_forward(net, x), tensordot_forward(net, x))
+
+
+@pytest.mark.parametrize("rows", [[0, 4], [-1], [0, 3, -4]])
+def test_loss_and_gradients_rejects_rows_outside_the_batch(rows):
+    net = init_network(tiny_spec())
+    x, y = rand_batch(tiny_spec(), n=4)
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        loss_and_gradients(net, y, forward(net, x), rows)
+
+
+def test_loss_and_gradients_counts_a_repeated_row_once():
+    net = init_network(tiny_spec())
+    x, y = rand_batch(tiny_spec(), n=4)
+    fwd = forward(net, x)
+    repeated = loss_and_gradients(net, y, fwd, [2, 0, 2])
+    assert bitwise_equal(repeated, loss_and_gradients(net, y, fwd, [0, 2]))
 
 
 def test_swap_logits_inverts_predictions_and_leaves_input():

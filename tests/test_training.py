@@ -14,6 +14,7 @@ from canclab import (
     NumericError,
     TrainConfig,
     canc_iteration,
+    dataset_metrics,
     flip_labels,
     forward,
     init_network,
@@ -24,6 +25,7 @@ from canclab import (
     select_clean,
     select_swap,
     sgd_step,
+    swap_logits,
     train,
 )
 from canclab import nn, training
@@ -517,3 +519,34 @@ def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
     # predict the inverted concept
     for net in result.final_networks:
         assert np.mean(predict(net, modelsel.patches) == modelsel.labels) < 0.5
+
+
+@pytest.mark.parametrize("b", [1, 7, 64, 256, 512])
+def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
+    """Model selection reads swap_logits(net)'s labels from net's own
+    logits, reversed; for 20 inits of the default network they, and the
+    metrics built on them, must be the twin's own forward's. A network
+    whose every logit pair ties predicts 0 both ways."""
+    size = 32
+    spec = NetworkSpec(size, 1, parse_layers(TrainConfig().network))
+    rng = np.random.default_rng(b)
+    ds = MaskDataset(
+        patches=rng.uniform(0.0, 1.0, size=(b, size, size, 1)),
+        labels=rng.integers(0, 2, size=b),
+        scene_ids=np.zeros(b, dtype=np.int64),
+        rows=np.arange(b, dtype=np.int64),
+        cols=np.zeros(b, dtype=np.int64),
+    )
+    both_classes = 0
+    for seed in range(20):
+        net = init_network(replace(spec, seed=seed))
+        labels, twin_labels = predict(net, ds.patches, twin=True)
+        assert np.array_equal(twin_labels, predict(swap_logits(net), ds.patches))
+        both_classes += 0 < labels.sum() < b
+        want = (dataset_metrics(net, ds), dataset_metrics(swap_logits(net), ds))
+        assert repr(dataset_metrics(net, ds, twin=True)) == repr(want)
+    assert b == 1 or both_classes > 0
+    tied = replace(net, params=net.params[:-1] + (tuple(map(np.zeros_like, net.params[-1])),))
+    assert np.all(predict(tied, ds.patches, twin=True) == 0)
+    want = (dataset_metrics(swap_logits(tied), ds),) * 2
+    assert repr(dataset_metrics(tied, ds, twin=True)) == repr(want)
