@@ -6,7 +6,7 @@ Run from the repository root:
 
 import numpy as np
 
-from canclab import DataConfig, generate_scene, tile_scene, build_mask_dataset
+from canclab import DataConfig, build_mask_dataset, generate_scene
 
 params = DataConfig(scene_size=256, seed=0)
 scenes = [generate_scene(params, scene_id=i) for i in range(4)]
@@ -20,11 +20,12 @@ for s in scenes:
     )
 
 m = 16
-patches, gt_patches, positions = tile_scene(scenes[0], m=m)
-print(f"\ntiling scene 0 at m={m}: {patches.shape[0]} masks of {m}x{m}")
+ds = build_mask_dataset(scenes, len(scenes), m=m, tau_label=0.01)
+first = ds.scene_ids == scenes[0].scene_id
+positions = np.stack([ds.rows[first], ds.cols[first]], axis=1)
+print(f"\ntiling scene 0 at m={m}: {int(first.sum())} masks of {ds.m}x{ds.m}")
 print(f"  first positions (row, col): {positions[:4].tolist()}")
 
-ds = build_mask_dataset(scenes, len(scenes), m=m, tau_label=0.01)
 pos = int(ds.labels.sum())
 print(f"\ndataset over {len(scenes)} scenes: {ds.labels.size} masks, {pos} positive "
       f"({pos / ds.labels.size:.3f})")

@@ -29,7 +29,7 @@ print(f"train {tr.labels.size} masks ({np.mean(tr.labels != tr.clean_labels):.3f
 
 for algo in ("vanilla", "coteaching", "canc"):
     cfg = TrainConfig(
-        algo=algo, network="conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)",
+        algo=algo, network="conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(2)",
         lr=0.05, t_max=30, t_k=8, batch_size=32, tau_f=0.35, swap_rate=0.1, seed=2,
     )
     res = train(tr, ms, cfg)

@@ -17,10 +17,8 @@ from .data import (
     Scene,
     build_mask_dataset,
     generate_scene,
-    label_mask,
     read_dataset,
     split_dataset,
-    tile_scene,
     write_dataset,
 )
 from .noise import (

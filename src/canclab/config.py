@@ -6,16 +6,17 @@ training.TrainConfig, [output] OutputConfig), and a key left out keeps the
 field's default. Each class checks its own values, so a bad value, such as
 an empty [data] building_count range, fails at load. A value is read
 as the type of that default: bool, int, float, str, or a comma-separated
-tuple of the same length and element types. All randomness flows from the
-three seeds (data, noise, train); train() fans [train] seed out into a
-shuffle seed and two init seeds. A relative [data] path resolves against
-the config file's directory. Unknown sections or keys are configuration
-errors, not warnings.
+tuple of the same length and element types; a float that is nan or inf is
+rejected. All randomness flows from the three seeds (data, noise, train);
+train() fans [train] seed out into a shuffle seed and two init seeds. A
+relative [data] path resolves against the config file's directory.
+Unknown sections or keys are configuration errors, not warnings.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -66,18 +67,21 @@ _KEYS = asdict(ExperimentConfig())
 
 
 def _convert(text: str, default, where: str):
-    """Read text as the type of default."""
+    """Read text as the type of default; a float, alone or in a tuple,
+    must be finite."""
     try:
         if isinstance(default, bool):
             if text.lower() not in _BOOLEANS:
                 raise ValueError(f"not a boolean: {text!r}")
             return _BOOLEANS[text.lower()]
-        if isinstance(default, tuple):
-            parts = text.split(",")
-            if len(parts) != len(default):
-                raise ValueError(f"needs {len(default)} comma-separated values, got {text!r}")
-            return tuple(type(d)(p) for d, p in zip(default, parts))
-        return type(default)(text)
+        defaults = default if isinstance(default, tuple) else (default,)
+        parts = text.split(",") if isinstance(default, tuple) else [text]
+        if len(parts) != len(defaults):
+            raise ValueError(f"needs {len(defaults)} comma-separated values, got {text!r}")
+        values = tuple(type(d)(p) for d, p in zip(defaults, parts))
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError(f"not a finite number: {text!r}")
+        return values if isinstance(default, tuple) else values[0]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

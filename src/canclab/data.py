@@ -1,11 +1,13 @@
 """Scene generation, tiling into masks, labeling, splits, and dataset files.
 
 A "mask" is an m x m image patch; its binary label says whether the
-building fraction of the ground-truth raster under it reaches tau_label
-(label_mask). Synthetic scenes stand in for real satellite/label imagery:
-axis-aligned rectangular buildings on a darker background, plus pixel
-noise. DataConfig, the [data] config section, holds the generator's knobs
-and the mask size, labeling threshold, split and seed.
+building fraction of the ground-truth raster under it reaches tau_label.
+build_mask_dataset is the one tiling and labelling path: it tags each mask
+with its scene id and grid position (rows, cols). Synthetic scenes stand
+in for real satellite/label imagery: axis-aligned rectangular buildings on
+a darker background, plus pixel noise. DataConfig, the [data] config
+section, holds the generator's knobs and the mask size, labeling
+threshold, split and seed.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "DataConfig",
     "MaskDataset",
     "generate_scene",
-    "tile_scene",
-    "label_mask",
     "build_mask_dataset",
     "split_dataset",
     "write_dataset",
@@ -66,9 +66,10 @@ class DataConfig:
     """The [data] section: where the masks come from and how they are cut,
     labeled and split. With source = synthetic, generate_scene reads
     scene_size, channels, seed and the building, background and pixel
-    noise knobs; all ranges are inclusive and are checked here, and so are
-    that m divides scene_size and that the split leaves no partition
-    empty."""
+    noise knobs; all ranges are inclusive and are checked here (the
+    intensities inside [0, 1]), and so are channels >= 1, tau_label in
+    (0, 1), that m divides scene_size and that the split leaves no
+    partition empty."""
 
     source: str = "synthetic"
     path: str = ""
@@ -94,8 +95,10 @@ class DataConfig:
             if not self.path:
                 raise ConfigError("data source 'file' requires a path")
             return
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes must be >= 1")
+        if self.n_scenes < 1 or self.channels < 1:
+            raise ConfigError(
+                f"n_scenes and channels must be >= 1, got {self.n_scenes} and {self.channels}"
+            )
         if self.m < 1 or self.scene_size % self.m != 0:
             raise ConfigError(f"mask size {self.m} does not divide scene size {self.scene_size}")
         # every scene gives (scene_size / m)^2 masks, so an empty partition
@@ -112,6 +115,11 @@ class DataConfig:
             )
         if self.pixel_noise < 0:
             raise ConfigError("pixel_noise must be >= 0")
+        for name in ("building_intensity", "background_intensity"):
+            lo, hi = getattr(self, name)
+            if not 0 <= lo <= hi <= 1:
+                raise ConfigError(f"{name} range ({lo},{hi}) is empty or outside [0,1]")
+        _check_tau(self.tau_label)
 
 
 _PLACEMENT_ATTEMPTS = 40  # rejection-sampling budget per building
@@ -160,33 +168,18 @@ def _grid(scene: Scene, m: int):
     return image, scene.gt.reshape(g, m, g, m).transpose(0, 2, 1, 3)
 
 
-def tile_scene(scene: Scene, m: int):
-    """Cut the scene into (n/m)^2 non-overlapping m x m patches, row-major.
-
-    Returns (patches (K,m,m,C), gt_patches (K,m,m), positions (K,2)): copies
-    of the grid view that build_mask_dataset writes its masks from.
-    Concatenating the patches back in grid order reproduces the scene
-    pixel-exactly.
-    """
-    image, gt = _grid(scene, m)
-    g = len(image)
-    positions = np.stack(np.divmod(np.arange(g * g), g), axis=1)
-    return image.copy().reshape(g * g, m, m, -1), gt.copy().reshape(g * g, m, m), positions
+def _check_tau(tau_label: float):
+    if not 0 < tau_label < 1:
+        raise ConfigError(f"tau_label must be in (0,1), got {tau_label}")
 
 
 def _label_patches(gt_patches: np.ndarray, tau_label: float) -> np.ndarray:
     """The labeling rule, one int64 label per ground-truth patch of
     gt_patches (K, ...): 1 iff the patch's building-pixel fraction reaches
     tau_label (inclusive)."""
-    if not 0 < tau_label < 1:
-        raise ConfigError(f"tau_label must be in (0,1), got {tau_label}")
+    _check_tau(tau_label)
     flat = gt_patches.reshape(len(gt_patches), -1)
     return (flat.sum(axis=1) / flat.shape[1] >= tau_label).astype(np.int64)
-
-
-def label_mask(gt_patch: np.ndarray, tau_label: float) -> int:
-    """The label of one ground-truth patch under _label_patches' rule."""
-    return int(_label_patches(np.asarray(gt_patch)[None], tau_label)[0])
 
 
 @dataclass(eq=False)

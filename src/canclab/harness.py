@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .data import build_mask_dataset, generate_scene, read_dataset, split_dataset, write_dataset
 from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
-from .nn import predict
+from .nn import NetworkSpec, parse_layers, predict
 from .noise import make_transition, inject
 from .training import TrainResult, train
 from .version import __version__
@@ -157,8 +157,12 @@ def _report(summary, run_dir: str, ious, wall_time: float = math.nan) -> RunRepo
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None) -> RunReport:
-    """Execute the full pipeline for one config and write its reports."""
+    """Execute the full pipeline for one config and write its reports. On a
+    synthetic source the masks are [data] m x m x channels, so a layer
+    list that cannot fit them fails here, before any scene is drawn."""
     started = time.monotonic()
+    if cfg.data.source == "synthetic":
+        NetworkSpec(cfg.data.m, cfg.data.channels, parse_layers(cfg.train.network))
     out = resolve_out_dir(cfg.output.dir, out_dir)
     os.makedirs(out, exist_ok=True)
 
@@ -240,7 +244,9 @@ def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
 
 def parse_grid(text: str) -> dict:
     """Parse 'algo=a,b;noise=c;epsilon=0.1,0.2' into an ordered dict of
-    value lists. Allowed axes: algo, noise, epsilon."""
+    value lists. Allowed axes: algo, noise, epsilon, each at most once and
+    each value once per axis (epsilons as the cell name prints them), so
+    no two cells share a directory."""
     grid = {}
     for part in text.split(";"):
         part = part.strip()
@@ -252,6 +258,8 @@ def parse_grid(text: str) -> dict:
         key = key.strip()
         if key not in ("algo", "noise", "epsilon"):
             raise ConfigError(f"unknown grid axis {key!r}")
+        if key in grid:
+            raise ConfigError(f"grid axis {key!r} given twice")
         items = [v.strip() for v in values.split(",") if v.strip()]
         if not items:
             raise ConfigError(f"grid axis {key!r} has no values")
@@ -260,6 +268,9 @@ def parse_grid(text: str) -> dict:
                 items = [float(v) for v in items]
             except ValueError as exc:
                 raise ConfigError(f"grid axis 'epsilon': {exc}") from exc
+        names = [f"{v:g}" for v in items] if key == "epsilon" else items
+        if len(set(names)) != len(names):
+            raise ConfigError(f"grid axis {key!r} repeats a value in {values.strip()!r}")
         grid[key] = items
     if not grid:
         raise ConfigError("empty sweep grid")

@@ -10,7 +10,9 @@ module is built around three hard guarantees rather than generality:
   tight enough to pass central finite differences in double precision.
 
 Supported layers: valid (unpadded) strided 2D convolution, dense, and
-leaky ReLU. Data layout is channels-last: (B, H, W, C). Everything is
+leaky ReLU. No layer names its input width: layer_plan derives every
+layer's input shape and weight shape from the spec's input side and
+channel count. Data layout is channels-last: (B, H, W, C). Everything is
 float64.
 
 Entry points: forward(net, x) runs one checked forward over a batch x
@@ -105,7 +107,9 @@ class Conv:
 
 @dataclass(frozen=True)
 class Dense:
-    in_dim: int
+    """Fully connected layer with out_dim outputs; its input width is
+    whatever the layers before it flatten to (layer_plan)."""
+
     out_dim: int
 
 
@@ -136,10 +140,11 @@ _LAYER_RE = re.compile(rf"^({'|'.join(_LAYER_KINDS)})\(([^()]*)\)$")
 
 
 def parse_layers(text: str) -> tuple:
-    """Parse the layer grammar: ``conv(C,K,S) lrelu(a) dense(IN,OUT)``.
+    """Parse the layer grammar: ``conv(C,K,S) lrelu(a) dense(OUT)``.
 
     Tokens are whitespace-separated; conv stride defaults to 1 and the
-    lrelu slope to 0.1. Too many or too few arguments are a ConfigError.
+    lrelu slope to 0.1. A dense layer names only its output width. Too
+    many or too few arguments are a ConfigError.
     """
     layers = []
     for token in text.split():
@@ -158,41 +163,43 @@ def parse_layers(text: str) -> tuple:
 
 
 def layer_plan(spec: NetworkSpec):
-    """Walk the layer list, checking shape compatibility.
+    """Walk the layer list from the (input_size, input_size, channels)
+    input, the one place every width and weight shape is derived.
 
-    Returns a list of (layer, input_shape) entries where input_shape is
-    (H, W, C) for spatial tensors or (D,) once flattened. Raises
-    ConfigError on any inconsistency, including a final output != 2.
+    Returns a list of (layer, in_shape, weight_shape) entries: in_shape is
+    (H, W, C) for spatial tensors or (D,) once flattened; weight_shape is
+    (k, k, C, O) for a conv, (prod(in_shape), O) for a dense layer and
+    None for lrelu. Raises ConfigError on any inconsistency, including a
+    final output != 2.
     """
     if spec.input_size < 1 or spec.channels < 1:
         raise ConfigError("input_size and channels must be >= 1")
     shape = (spec.input_size, spec.input_size, spec.channels)
     plan = []
     for i, layer in enumerate(spec.layers):
-        plan.append((layer, shape))
+        wshape = None
         if isinstance(layer, Conv):
             if len(shape) != 3:
                 raise ConfigError(f"layer {i}: conv after flatten is not supported")
-            h, w, _ = shape
+            h, w, c = shape
             k, s = layer.kernel_size, layer.stride
             if k < 1 or s < 1 or layer.channels < 1:
                 raise ConfigError(f"layer {i}: conv parameters must be positive")
             if h < k or w < k:
                 raise ConfigError(f"layer {i}: kernel {k} larger than input {h}x{w}")
-            shape = ((h - k) // s + 1, (w - k) // s + 1, layer.channels)
+            wshape = (k, k, c, layer.channels)
+            out = ((h - k) // s + 1, (w - k) // s + 1, layer.channels)
         elif isinstance(layer, Dense):
-            flat = int(np.prod(shape))
-            if layer.in_dim != flat:
-                raise ConfigError(
-                    f"layer {i}: dense expects in_dim={layer.in_dim} but receives {flat}"
-                )
             if layer.out_dim < 1:
                 raise ConfigError(f"layer {i}: dense out_dim must be >= 1")
-            shape = (layer.out_dim,)
+            wshape = (math.prod(shape), layer.out_dim)
+            out = (layer.out_dim,)
         elif isinstance(layer, LeakyRelu):
-            pass
+            out = shape
         else:
             raise ConfigError(f"layer {i}: unknown layer type {type(layer).__name__}")
+        plan.append((layer, shape, wshape))
+        shape = out
     if shape != (2,):
         raise ConfigError(f"network must end in exactly 2 logits, got shape {shape}")
     return plan
@@ -211,24 +218,16 @@ class Network:
 
 
 def init_network(spec: NetworkSpec) -> Network:
-    """Draw parameters deterministically from spec.seed, He-uniform:
-    weights ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), biases 0."""
+    """Draw parameters deterministically from spec.seed, He-uniform, in
+    layer order: weights of each shape layer_plan gives ~ U(-l, +l) with
+    l = sqrt(6 / fan_in), fan_in the product of all but the last weight
+    axis; biases 0."""
     rng = np.random.default_rng(spec.seed)
     params = []
-    for layer, shape in layer_plan(spec):
-        if isinstance(layer, Conv):
-            k, c_in = layer.kernel_size, shape[2]
-            fan_in = k * k * c_in
-            wshape = (k, k, c_in, layer.channels)
-            bshape = (layer.channels,)
-        elif isinstance(layer, Dense):
-            fan_in = layer.in_dim
-            wshape = (layer.in_dim, layer.out_dim)
-            bshape = (layer.out_dim,)
-        else:
-            continue
-        limit = math.sqrt(6.0 / fan_in)
-        params.append((rng.uniform(-limit, limit, size=wshape), np.zeros(bshape)))
+    for _, _, wshape in layer_plan(spec):
+        if wshape is not None:
+            limit = math.sqrt(6.0 / math.prod(wshape[:-1]))
+            params.append((rng.uniform(-limit, limit, size=wshape), np.zeros(wshape[-1])))
     return Network(spec=spec, params=tuple(params))
 
 

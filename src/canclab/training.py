@@ -54,10 +54,11 @@ ALGORITHMS = ("vanilla", "coteaching", "canc")
 class TrainConfig:
     """Everything a training run needs besides the data: the algorithm, its
     schedule, and the network's layer list. The masks give the network its
-    input shape, so a layer list that cannot fit them fails in train()."""
+    input shape, so a layer list that cannot fit them fails in train()
+    (and, on a synthetic source, in run_experiment before any scene)."""
 
     algo: str = "canc"
-    network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"
+    network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"
     lr: float = 0.05
     t_max: int = 30
     t_k: int = 10

@@ -17,6 +17,7 @@ import numpy as np
 
 from canclab import (
     NetworkSpec,
+    Scene,
     TrainConfig,
     antisymmetric_matrix,
     apply_noise,
@@ -24,7 +25,6 @@ from canclab import (
     confusion,
     forward,
     generate_scene,
-    label_mask,
     loss_and_gradients,
     make_transition,
     parse_layers,
@@ -34,7 +34,6 @@ from canclab import (
     select_swap,
     sp_iou,
     symmetric_matrix,
-    tile_scene,
     train,
 )
 from canclab import training
@@ -90,7 +89,7 @@ def test_criterion_03_gradients_finite_difference():
     spec = NetworkSpec(
         input_size=8,
         channels=1,
-        layers=parse_layers("conv(3,3,2) lrelu(0.1) conv(4,3,1) lrelu(0.2) dense(4,2)"),
+        layers=parse_layers("conv(3,3,2) lrelu(0.1) conv(4,3,1) lrelu(0.2) dense(2)"),
         seed=11,
     )
     rng = np.random.default_rng(5)
@@ -172,7 +171,7 @@ def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
     for algo in ("coteaching", "canc"):
         cfg = TrainConfig(
             algo=algo,
-            network="conv(3,3,2) lrelu(0.1) dense(147,2)",
+            network="conv(3,3,2) lrelu(0.1) dense(2)",
             lr=0.05,
             t_max=4,
             t_k=2,
@@ -264,13 +263,15 @@ def test_criterion_09_rerun_byte_identical(tmp_path):
 
 
 def test_criterion_10_labeling_boundaries_and_tiling():
+    # one 64 x 64 scene cut into four 32 x 32 masks with 0, 10, 11 and 0
+    # building pixels, labelled by the one tiling and labelling path
     m, tau = 32, 0.01
-    patches = np.zeros((3, m, m, 1))
-    patches[1].flat[:10] = 1.0
-    patches[2].flat[:11] = 1.0
-    labels = [label_mask(p, tau_label=tau) for p in patches]
-    boundaries_ok = labels == [0, 0, 1]
+    gt = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+    gt[0, m : m + 10] = 1
+    gt[m, :11] = 1
+    scene = Scene(image=np.zeros((2 * m, 2 * m, 1)), gt=gt)
+    boundaries_ok = build_mask_dataset([scene], 1, m, tau).labels.tolist() == [0, 0, 1, 0]
     scene = generate_scene(DataConfig(scene_size=2048, seed=9), scene_id=0)
-    tiled, _, _ = tile_scene(scene, m=8)
-    count_ok = tiled.shape[0] == 65536 and (8192 // 32) ** 2 == (2048 // 8) ** 2 == 65536
+    n_masks = len(build_mask_dataset([scene], 1, 8, tau))
+    count_ok = n_masks == 65536 and (8192 // 32) ** 2 == (2048 // 8) ** 2 == 65536
     _report(10, "boundary masks 0/10/11 px -> 0/0/1; 65536-mask tiling (scaled grid)", boundaries_ok and count_ok)

@@ -15,10 +15,8 @@ from canclab import (
     Scene,
     build_mask_dataset,
     generate_scene,
-    label_mask,
     read_dataset,
     split_dataset,
-    tile_scene,
     write_dataset,
 )
 from canclab.config import parse_config_text
@@ -93,68 +91,69 @@ def test_scene_shape_validation():
 # tiling and labeling
 
 
+def gt_slice(scene, m, r, c):
+    """The ground truth under the mask in grid row r, column c, cut by
+    hand from the scene."""
+    return scene.gt[r * m : (r + 1) * m, c * m : (c + 1) * m]
+
+
 def test_tiling_reassembles_scene_exactly():
     scene = generate_scene(small_params())
     m = 16
-    patches, gt_patches, positions = tile_scene(scene, m)
+    ds = build_mask_dataset([scene], 1, m, 0.01)
     g = scene.size // m
-    assert patches.shape == (g * g, m, m, 1)
+    assert ds.patches.shape == (g * g, m, m, 1)
     rebuilt = np.zeros_like(scene.image)
-    rebuilt_gt = np.zeros_like(scene.gt)
-    for patch, gt_patch, (r, c) in zip(patches, gt_patches, positions):
+    for patch, r, c in zip(ds.patches, ds.rows, ds.cols):
         rebuilt[r * m : (r + 1) * m, c * m : (c + 1) * m] = patch
-        rebuilt_gt[r * m : (r + 1) * m, c * m : (c + 1) * m] = gt_patch
     assert np.array_equal(rebuilt, scene.image)
-    assert np.array_equal(rebuilt_gt, scene.gt)
 
 
 def test_tiling_is_row_major():
     scene = generate_scene(small_params())
-    _, _, positions = tile_scene(scene, 16)
+    ds = build_mask_dataset([scene], 1, 16, 0.01)
     g = scene.size // 16
-    assert positions[0].tolist() == [0, 0]
-    assert positions[1].tolist() == [0, 1]
-    assert positions[g].tolist() == [1, 0]
+    assert np.array_equal(ds.rows * g + ds.cols, np.arange(g * g))
 
 
 def test_tiling_rejects_non_divisor():
     scene = generate_scene(small_params())
-    with pytest.raises(ConfigError):
-        tile_scene(scene, 12)
+    with pytest.raises(ConfigError, match="does not divide"):
+        build_mask_dataset([scene], 1, 12, 0.01)
 
 
-def test_label_mask_threshold_is_inclusive():
+def one_mask_scene(m, built):
+    """A one-mask scene of side m whose first `built` ground-truth pixels
+    are buildings."""
+    gt = np.zeros((m, m), dtype=np.uint8)
+    gt.flat[:built] = 1
+    return Scene(image=np.zeros((m, m, 1)), gt=gt)
+
+
+def test_label_threshold_is_inclusive():
     m = 10  # area 100, tau 0.05 -> threshold exactly 5 pixels
-    patch = np.zeros((m, m), dtype=np.uint8)
-    patch.flat[:4] = 1
-    assert label_mask(patch, 0.05) == 0
-    patch.flat[4] = 1
-    assert label_mask(patch, 0.05) == 1  # ratio == tau counts as positive
-    patch.flat[5] = 1
-    assert label_mask(patch, 0.05) == 1
+    labels = [build_mask_dataset([one_mask_scene(m, k)], 1, m, 0.05).labels[0] for k in (4, 5, 6)]
+    assert labels == [0, 1, 1]  # ratio == tau counts as positive
 
 
 def test_labels_match_bruteforce_over_dataset():
     scene = generate_scene(small_params(seed=9))
     ds = build_mask_dataset([scene], 1, m=8, tau_label=0.01)
-    _, gt_patches, _ = tile_scene(scene, 8)
-    expect = (gt_patches.sum(axis=(1, 2)) / 64.0 >= 0.01).astype(np.int64)
-    assert np.array_equal(ds.labels, expect)
+    expect = [int(gt_slice(scene, 8, r, c).sum() / 64.0 >= 0.01) for r, c in zip(ds.rows, ds.cols)]
+    assert ds.labels.tolist() == expect
 
 
-def test_dataset_labels_match_label_mask_on_a_pixel_count_boundary():
+def test_dataset_labels_match_bruteforce_on_a_pixel_count_boundary():
     # tau is the building-pixel fraction of a partly covered mask, so the
     # masks with exactly that count sit on the threshold; m = 12 makes the
     # fraction count/144, which is inexact in binary
     m = 12
     scene = generate_scene(small_params(scene_size=96, seed=3))
-    _, gt_patches, _ = tile_scene(scene, m)
-    counts = gt_patches.reshape(len(gt_patches), -1).sum(axis=1)
-    partial = np.sort(counts[(counts > 0) & (counts < m * m)])
-    boundary = int(partial[len(partial) // 2])
-    tau = boundary / (m * m)
+    tau = boundary_tau(scene, m)
     ds = build_mask_dataset([scene], 1, m=m, tau_label=tau)
-    assert ds.labels.tolist() == [label_mask(gp, tau) for gp in gt_patches]
+    counts = np.array([gt_slice(scene, m, r, c).sum() for r, c in zip(ds.rows, ds.cols)])
+    boundary = round(tau * m * m)
+    assert ds.labels.tolist() == [int(k / (m * m) >= tau) for k in counts]
     assert ds.labels[counts == boundary].all()
     assert not ds.labels[counts < boundary].any()
     assert (counts < boundary).any() and (counts > boundary).any()
@@ -172,8 +171,8 @@ def test_build_mask_dataset_orders_scene_major():
 def boundary_tau(scene, m):
     """A tau_label that partly covered masks of the scene meet exactly: the
     median building-pixel count of those masks over m * m."""
-    _, gt_patches, _ = tile_scene(scene, m)
-    counts = gt_patches.reshape(len(gt_patches), -1).sum(axis=1)
+    g = scene.size // m
+    counts = np.array([gt_slice(scene, m, r, c).sum() for r in range(g) for c in range(g)])
     partial = np.sort(counts[(counts > 0) & (counts < m * m)])
     return int(partial[len(partial) // 2]) / (m * m)
 

@@ -58,7 +58,7 @@ batch_size = 32
 tau_f = 0.45
 swap_rate = 0.1
 seed = 7
-network = conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)
+network = conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(2)
 
 [output]
 dir = tinyrun
@@ -123,7 +123,7 @@ swap_rate = 0.2
 persist_swaps = yes
 ablation_s_equals_1_minus_r = on
 seed = 8
-network = conv(4,3,1) lrelu(0.2) dense(400,2)
+network = conv(4,3,1) lrelu(0.2) dense(2)
 
 [output]
 dir = elsewhere
@@ -137,7 +137,7 @@ dir = elsewhere
         ),
         noise=NoiseConfig(type="antisymmetric", epsilon=0.3, seed=6, noise_modelsel=True),
         train=TrainConfig(
-            algo="coteaching", network="conv(4,3,1) lrelu(0.2) dense(400,2)", lr=0.1, t_max=5,
+            algo="coteaching", network="conv(4,3,1) lrelu(0.2) dense(2)", lr=0.1, t_max=5,
             t_k=4, batch_size=16, tau_f=0.3, swap_rate=0.2, ablation_s_equals_1_minus_r=True,
             persist_swaps=True, seed=8,
         ),
@@ -206,7 +206,7 @@ def test_config_rejects_unparseable_network(tmp_path):
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
     with pytest.raises(ConfigError):
-        TrainConfig(network="dense(4,2) sorcery(1)")
+        TrainConfig(network="dense(2) sorcery(1)")
 
 
 def test_config_missing_file():
@@ -364,6 +364,16 @@ def test_parse_grid():
         parse_grid("colors=red,blue")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("epsilon=0.1;algo=canc;algo=vanilla", "'algo' given twice"),
+    ("algo=canc,vanilla,canc", "'algo' repeats a value"),
+    ("epsilon=0.1,0.10", "'epsilon' repeats a value"),  # both cells would be ..._eps0.1
+])
+def test_parse_grid_rejects_a_repeated_axis_or_value(text, error):
+    with pytest.raises(ConfigError, match=error):
+        parse_grid(text)
+
+
 def test_sweep_produces_all_cells(tmp_path):
     summary = sweep(
         tiny_cfg(),
@@ -452,9 +462,8 @@ def test_cli_file_source_mask_shape_comes_from_the_file(tmp_path):
     cfg_path.write_text(text)
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
     assert proc.returncode == 0, proc.stderr
-    # the default network's dense layer is sized for 32 x 32 masks
-    lines = [line for line in text.splitlines() if not line.startswith("network")]
-    cfg_path.write_text("\n".join(lines))
+    # a 17 x 17 kernel fits the 32 x 32 masks [data] m names, not the file's
+    cfg_path.write_text(re.sub(r"network = .*", "network = conv(4,17,1) dense(2)", text))
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o2")])
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
@@ -620,6 +629,53 @@ def test_cli_split_that_cannot_be_made_exit_2_before_any_scene(
     old = {"split": "split = 0.6,0.2,0.2", "n_scenes": "n_scenes = 6"}[key]
     exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace(old, f"{key} = {value}"))
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("old, new", [
+    ("split = 0.6,0.2,0.2", "split = nan,0.5,0.5"),
+    ("seed = 0", "seed = 0\npixel_noise = nan"),
+    ("seed = 0", "seed = 0\nbuilding_intensity = nan,0.9"),
+    ("seed = 0", "seed = 0\ntau_label = inf"),
+    ("lr = 0.05", "lr = nan"),
+    ("seed = 0", "seed = 0\nbackground_intensity = 0.05,inf"),
+])
+def test_cli_non_finite_float_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, old, new, command
+):
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace(old, new, 1))
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("value, error", [
+    ("channels = 0", "channels must be >= 1"),
+    ("background_intensity = 2,1", "background_intensity range (2.0,1.0)"),
+    ("building_intensity = 0.5,1.5", "building_intensity range (0.5,1.5)"),
+    ("background_intensity = -0.1,0.4", "background_intensity range (-0.1,0.4)"),
+    ("tau_label = 0", "tau_label must be in (0,1)"),
+    ("tau_label = 1", "tau_label must be in (0,1)"),
+])
+def test_cli_bad_data_value_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, value, error, command
+):
+    text = TINY.replace("seed = 0", f"seed = 0\n{value}", 1)
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, text)
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_network_that_cannot_fit_the_masks_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, command
+):
+    # at m = 8, TINY's second conv (kernel 3) receives a 2 x 2 input
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace("m = 16", "m = 8"))
+    assert "kernel 3 larger than input 2x2" in capsys.readouterr().err
+
+
+def test_gen_data_builds_no_network(tmp_path):
+    cfg = parse_config_text(TINY.replace("m = 16", "m = 8"))
+    assert gen_data(cfg, out_dir=str(tmp_path))["files"]["full.bin"]["masks"] == 6 * 16 * 16
 
 
 def test_cli_data_error_exit_3(tmp_path):

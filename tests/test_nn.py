@@ -14,6 +14,7 @@ from canclab import (
     LeakyRelu,
     NetworkSpec,
     NumericError,
+    TrainConfig,
     canc_iteration,
     flip_labels,
     forward,
@@ -34,7 +35,7 @@ def tiny_spec(seed=0):
     return NetworkSpec(
         input_size=12,
         channels=1,
-        layers=parse_layers("conv(3,3,2) lrelu(0.1) dense(75,2)"),
+        layers=parse_layers("conv(3,3,2) lrelu(0.1) dense(2)"),
         seed=seed,
     )
 
@@ -51,12 +52,14 @@ def rand_batch(spec, n=4, seed=0):
 
 
 def test_parse_layers_grammar():
-    layers = parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3) dense(432,2)")
-    assert layers == (Conv(6, 5, 2), LeakyRelu(0.1), Conv(12, 3, 1), Dense(432, 2))
+    layers = parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3) dense(2)")
+    assert layers == (Conv(6, 5, 2), LeakyRelu(0.1), Conv(12, 3, 1), Dense(2))
+    assert parse_layers("dense(10)") == (Dense(10),)
 
 
 def test_parse_layers_rejects_junk():
-    for text in ("conv(6,5,2) blah(3)", "conv()", "dense(10)", "", "conv(6,5,2"):
+    # a dense layer names only its output width: dense(IN,OUT) is not read
+    for text in ("conv(6,5,2) blah(3)", "conv()", "dense(432,2)", "", "conv(6,5,2"):
         with pytest.raises(ConfigError):
             parse_layers(text)
 
@@ -65,23 +68,28 @@ def test_layer_plan_shapes():
     spec = NetworkSpec(
         input_size=32,
         channels=1,
-        layers=parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
+        layers=parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"),
     )
     plan = layer_plan(spec)
-    # input shapes seen by each layer, conv arithmetic included
-    assert [shape for _, shape in plan] == [
+    # input shapes seen by each layer, conv arithmetic included, and the
+    # weight shapes derived from them: the dense layer's 432 = 6 * 6 * 12
+    assert [shape for _, shape, _ in plan] == [
         (32, 32, 1), (14, 14, 6), (14, 14, 6), (6, 6, 12), (6, 6, 12),
     ]
+    assert [wshape for _, _, wshape in plan] == [(5, 5, 1, 6), None, (3, 3, 6, 12), None, (432, 2)]
 
 
-def test_layer_plan_rejects_mismatched_dense():
-    with pytest.raises(ConfigError):
-        NetworkSpec(input_size=12, channels=1, layers=parse_layers("dense(100,2)"))
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_default_layer_list_builds_for_every_mask_size(m):
+    spec = NetworkSpec(m, 1, parse_layers(TrainConfig().network))
+    side = ((m - 5) // 2 + 1 - 3) // 2 + 1
+    assert layer_plan(spec)[-1][2] == (side * side * 12, 2)
+    assert [w.shape for w, _ in init_network(spec).params][-1] == (side * side * 12, 2)
 
 
 def test_layer_plan_rejects_oversized_kernel():
     with pytest.raises(ConfigError):
-        NetworkSpec(input_size=4, channels=1, layers=parse_layers("conv(2,5,1) dense(2,2)"))
+        NetworkSpec(input_size=4, channels=1, layers=parse_layers("conv(2,5,1) dense(2)"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +112,18 @@ def test_init_he_uniform_bounds_and_zero_bias():
     limit = math.sqrt(6.0 / fan_in)
     assert np.all(np.abs(conv_w) <= limit)
     assert np.all(conv_b == 0.0)
+
+
+def test_init_draws_the_default_network_in_layer_order():
+    """The init contract: one generator seeded with spec.seed draws each
+    weight array uniform in +-sqrt(6 / fan_in) in layer order, biases 0."""
+    spec = NetworkSpec(32, 1, parse_layers(TrainConfig().network), seed=11)
+    rng, params = np.random.default_rng(11), init_network(spec).params
+    assert len(params) == 3
+    for (w, b), shape in zip(params, [(5, 5, 1, 6), (3, 3, 6, 12), (432, 2)]):
+        limit = math.sqrt(6.0 / math.prod(shape[:-1]))
+        assert w.tobytes() == rng.uniform(-limit, limit, size=shape).tobytes()
+        assert w.shape == shape and b.shape == shape[-1:] and not b.any()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +200,7 @@ def test_gradients_deeper_multichannel():
     spec = NetworkSpec(
         input_size=10,
         channels=2,
-        layers=parse_layers("conv(2,3,1) lrelu(0.2) conv(3,3,2) lrelu(0.1) dense(27,2)"),
+        layers=parse_layers("conv(2,3,1) lrelu(0.2) conv(3,3,2) lrelu(0.1) dense(2)"),
         seed=5,
     )
     assert _max_rel_err(spec) <= 1e-4
@@ -189,7 +209,7 @@ def test_gradients_deeper_multichannel():
 def test_gradients_stride_remainder():
     # (9 - 4) % 3 != 0: output grid does not tile the input exactly
     spec = NetworkSpec(
-        input_size=9, channels=1, layers=parse_layers("conv(2,4,3) lrelu(0.1) dense(8,2)"), seed=7
+        input_size=9, channels=1, layers=parse_layers("conv(2,4,3) lrelu(0.1) dense(2)"), seed=7
     )
     assert _max_rel_err(spec) <= 1e-4
 
@@ -235,9 +255,9 @@ def test_sgd_step_does_not_mutate_input_network():
 
 
 BITWISE_NETS = {
-    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
-    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(147,2)"),
-    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(147,8) lrelu(0.1) dense(8,2)"),
+    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"),
+    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(2)"),
+    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(8) lrelu(0.1) dense(2)"),
 }
 
 
@@ -288,8 +308,7 @@ def test_forward_bitwise_equals_tensordot_oracle_over_conv_shapes(b):
     output maps, the logits and every cache entry are bitwise the oracle's."""
     shapes = itertools.product([5, 12], [1, 3], [1, 2, 5], [1, 2, 3], [1, 6])
     for i, (h, c, k, s, o) in enumerate(shapes):
-        side = (h - k) // s + 1
-        layers = parse_layers(f"conv({o},{k},{s}) lrelu(0.1) dense({side * side * o},2)")
+        layers = parse_layers(f"conv({o},{k},{s}) lrelu(0.1) dense(2)")
         net = init_network(NetworkSpec(input_size=h, channels=c, layers=layers, seed=i))
         x = np.random.default_rng(i).uniform(0.0, 1.0, size=(b, h, h, c))
         assert bitwise_equal(_forward(net, x), tensordot_forward(net, x)), (h, c, k, s, o)

@@ -31,7 +31,7 @@ from canclab import (
 from canclab import nn, training
 from oracles import coteaching_iteration, gather_and_forward_step, zeroed
 
-NETWORK = "conv(3,3,2) lrelu(0.1) dense(27,2)"
+NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
 
 
@@ -234,7 +234,7 @@ def test_canc_iteration_forwards_each_network_once(monkeypatch):
     spec = NetworkSpec(
         input_size=32,
         channels=1,
-        layers=parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
+        layers=parse_layers("conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"),
     )
     m1 = init_network(replace(spec, seed=1))
     m2 = init_network(replace(spec, seed=2))
@@ -259,10 +259,10 @@ def test_canc_iteration_forwards_each_network_once(monkeypatch):
 
 
 STEP_GRID_NETS = {
-    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(432,2)"),
-    "smoke": (16, "conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(128,2)"),
-    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(147,2)"),
-    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(147,8) lrelu(0.1) dense(8,2)"),
+    "default": (32, "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"),
+    "smoke": (16, "conv(4,5,2) lrelu(0.1) conv(8,3,1) lrelu(0.1) dense(2)"),
+    "criterion6": (16, "conv(3,3,2) lrelu(0.1) dense(2)"),
+    "two_dense": (16, "conv(3,3,2) lrelu(0.1) dense(8) lrelu(0.1) dense(2)"),
 }
 STEP_GRID_RATES = ((1.0, 0.0), (0.9, 0.05), (0.75, 0.1), (0.5, 0.25), (0.55, 0.45))
 
