@@ -280,12 +280,12 @@ def parse_grid(text: str) -> dict:
 def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = None) -> dict:
     """Run one experiment per grid cell under a common output root and
     write sweep_summary.json there, which holds exactly the returned dict:
-    the grid and one row per cell."""
+    the grid and one row per cell. Every cell's config is built, and so
+    checked, before the first run: a bad grid value fails before any scene
+    is drawn or any directory made."""
     grid = parse_grid(grid_text)
     root = resolve_out_dir(cfg.output.dir, out_dir)
-    os.makedirs(root, exist_ok=True)
-
-    rows = []
+    cells = []
     for algo, noise, eps in itertools.product(
         grid.get("algo", [cfg.train.algo]),
         grid.get("noise", [cfg.noise.type]),
@@ -298,13 +298,18 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
             noise=replace(cfg.noise, type=noise, epsilon=eps),
             output=replace(cfg.output, dir=os.path.join(root, cell)),
         )
+        cells.append((cell, cell_cfg))
+    os.makedirs(root, exist_ok=True)
+
+    rows = []
+    for cell, cell_cfg in cells:
         report = run_experiment(cell_cfg, name=cell)
         rows.append(
             {
                 "cell": cell,
-                "algo": algo,
-                "noise": noise,
-                "epsilon": eps,
+                "algo": cell_cfg.train.algo,
+                "noise": cell_cfg.noise.type,
+                "epsilon": cell_cfg.noise.epsilon,
                 "best_modelsel_accuracy": report.best_accuracy,
                 "eval_accuracy": report.final_metrics["eval"]["accuracy"],
                 "eval_f1": report.final_metrics["eval"]["f1"],
@@ -314,6 +319,15 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
     summary = {"version": __version__, "grid": grid_text, "rows": rows}
     _write_atomic(os.path.join(root, "sweep_summary.json"), _json_dumps(summary))
     return summary
+
+
+def _is_scene_iou(entry) -> bool:
+    """entry is one sp_iou.json row as a run writes it: an int scene_id and
+    an SP-IoU, (inter+1)/(union+1), in (0, 1]. compare divides by it."""
+    if not isinstance(entry, dict):
+        return False
+    sid, value = entry.get("scene_id"), entry.get("sp_iou")
+    return type(sid) is int and type(value) in (int, float) and 0 < value <= 1
 
 
 def load_report(run_dir: str) -> RunReport:
@@ -330,6 +344,10 @@ def load_report(run_dir: str) -> RunReport:
             except ValueError as exc:
                 raise DataError(f"report file {path} is not valid JSON: {exc}") from exc
     summary, ious = loaded
+    if not (isinstance(ious, list) and all(map(_is_scene_iou, ious))):
+        raise DataError(
+            f"report file {ipath} is not a list of {{scene_id: int, sp_iou: number in (0, 1]}}"
+        )
     try:
         return _report(summary, run_dir, ious)
     except (AttributeError, KeyError, TypeError) as exc:

@@ -35,7 +35,20 @@ in the same C-contiguous layout, the one np.tensordot over the windows
 view builds by a strided reshape copy, and it meets the same weight matrix
 in the same np.dot, so the result is bitwise tensordot's; the gather is
 only faster. The cache keeps the windows view for the backward's dW
-tensordot.
+tensordot. The conv bias is tiled over each sample's whole output and
+added full-width, which gives every sum that broadcasting it over the
+innermost axis of O elements gives.
+
+Every elementwise pass is branch-free: np.where on activation signs
+branches on each element, and its speed depends on the sign pattern of the
+data. Leaky ReLU with slope a, which layer_plan holds to [0, 1], is
+np.maximum(x, a * x): for x > 0, a * x <= x, and otherwise a * x >= x,
+signed zeros included, so it equals np.where(x > 0, x, a * x) bit for bit.
+Its cache holds that activation, not the pre-activation, which is freed:
+the activation is > 0 exactly where the pre-activation is. The backward
+multiplies by (activation > 0) * (1 - a) + a, which is exactly 1.0 or
+exactly a, because fl(1 - a) + a rounds back to 1 for every a in [0, 1];
+d * 1.0 is d, so this is np.where(pre > 0, d, a * d) bit for bit.
 """
 
 from __future__ import annotations
@@ -115,6 +128,8 @@ class Dense:
 
 @dataclass(frozen=True)
 class LeakyRelu:
+    """max(x, slope * x), with slope in [0, 1] (layer_plan checks it)."""
+
     slope: float = 0.1
 
 
@@ -143,8 +158,8 @@ def parse_layers(text: str) -> tuple:
     """Parse the layer grammar: ``conv(C,K,S) lrelu(a) dense(OUT)``.
 
     Tokens are whitespace-separated; conv stride defaults to 1 and the
-    lrelu slope to 0.1. A dense layer names only its output width. Too
-    many or too few arguments are a ConfigError.
+    lrelu slope, which must lie in [0, 1], to 0.1. A dense layer names only
+    its output width. Too many or too few arguments are a ConfigError.
     """
     layers = []
     for token in text.split():
@@ -170,7 +185,7 @@ def layer_plan(spec: NetworkSpec):
     (H, W, C) for spatial tensors or (D,) once flattened; weight_shape is
     (k, k, C, O) for a conv, (prod(in_shape), O) for a dense layer and
     None for lrelu. Raises ConfigError on any inconsistency, including a
-    final output != 2.
+    final output != 2 and an lrelu slope outside [0, 1].
     """
     if spec.input_size < 1 or spec.channels < 1:
         raise ConfigError("input_size and channels must be >= 1")
@@ -195,6 +210,10 @@ def layer_plan(spec: NetworkSpec):
             wshape = (math.prod(shape), layer.out_dim)
             out = (layer.out_dim,)
         elif isinstance(layer, LeakyRelu):
+            # the branch-free forms are exact only in [0, 1]; -0.0 is out, as
+            # its backward factor would come out +0.0
+            if not (0.0 <= layer.slope <= 1.0 and math.copysign(1.0, layer.slope) > 0):
+                raise ConfigError(f"layer {i}: lrelu slope must be in [0, 1], got {layer.slope}")
             out = shape
         else:
             raise ConfigError(f"layer {i}: unknown layer type {type(layer).__name__}")
@@ -280,9 +299,12 @@ def _forward(net: Network, x: np.ndarray):
             out = np.dot(cols.reshape(-1, w.shape[2] * k * k),
                          w.transpose(2, 0, 1, 3).reshape(-1, layer.channels))
             # free cols, then add b into a fresh array, in tensordot's order:
-            # adding in place left another heap layout and 3 MB more peak RSS
+            # adding in place left another heap layout and 3 MB more peak RSS;
+            # b is tiled over each sample's whole output (module docstring)
             del cols
-            out = out.reshape(windows.shape[:3] + (layer.channels,)) + b
+            hp, wp = windows.shape[1:3]
+            out = (out.reshape(len(windows), -1) + np.tile(b, hp * wp)).reshape(
+                windows.shape[:3] + (layer.channels,))
         elif isinstance(layer, Dense):
             w, b = net.params[p]
             p += 1
@@ -291,8 +313,9 @@ def _forward(net: Network, x: np.ndarray):
             caches.append(("dense", flat, pre_shape))
             out = flat @ w + b
         else:  # LeakyRelu
+            post = layer.slope * out  # never write into out: it may be the caller's x
+            out = np.maximum(out, post, out=post)
             caches.append(("lrelu", out, layer))
-            out = np.where(out > 0, out, layer.slope * out)
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations after layer {i}", layer=i)
     return out, caches
@@ -340,8 +363,8 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
                     )
             d = dx
         else:  # lrelu
-            _, pre, layer = cache
-            d = np.where(pre > 0, d, layer.slope * d)
+            _, post, layer = cache
+            d = d * ((post > 0) * (1.0 - layer.slope) + layer.slope)
     return grads
 
 

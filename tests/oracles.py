@@ -78,7 +78,9 @@ def tensordot_forward(net, x):
     reshape.
 
     Written separately from canclab.nn._forward, whose signature, result
-    and caches it shares; that one gathers the same matrix with np.take.
+    and caches it shares; that one gathers the same matrix with np.take,
+    adds the bias over whole rows and forms each leaky ReLU without
+    np.where. Like it, each lrelu cache holds the activation it returns.
     """
     caches = []
     out = x
@@ -100,8 +102,8 @@ def tensordot_forward(net, x):
             caches.append(("dense", flat, pre_shape))
             out = flat @ w + b
         else:  # LeakyRelu
-            caches.append(("lrelu", out, layer))
             out = np.where(out > 0, out, layer.slope * out)
+            caches.append(("lrelu", out, layer))
     return out, caches
 
 

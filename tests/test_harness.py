@@ -2,6 +2,7 @@
 compare, data generation, and the CLI surface."""
 
 import json
+import math
 import os
 import re
 import struct
@@ -340,15 +341,48 @@ def test_load_report_missing_files(tmp_path):
     ids=["not_json", "empty_object", "config_empty"],
 )
 def test_cli_compare_malformed_summary_exit_3(tmp_path, rewrite):
+    compare_exit_3(tmp_path, "summary.json", rewrite)
+
+
+def compare_exit_3(tmp_path, fname, rewrite):
+    """Rewrite one report file of a tiny run and assert that load_report
+    and `canclab compare` reject it as a DataError naming that file."""
     run_experiment(tiny_cfg(), out_dir=str(tmp_path / "a"))
-    summary = tmp_path / "a" / "summary.json"
-    summary.write_text(rewrite(summary.read_text()))
-    with pytest.raises(DataError, match="summary.json"):
+    path = tmp_path / "a" / fname
+    path.write_text(rewrite(path.read_text()))
+    with pytest.raises(DataError, match=fname):
         load_report(str(tmp_path / "a"))
     proc = run_cli(["compare", str(tmp_path / "a")])
     assert proc.returncode == 3, proc.stderr
-    assert "data error" in proc.stderr and str(summary) in proc.stderr
+    assert "data error" in proc.stderr and str(path) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def first_scene(key, value):
+    """A rewrite of sp_iou.json that sets key of its first scene to value."""
+    def rewrite(text):
+        ious = json.loads(text)
+        ious[0][key] = value
+        return json.dumps(ious)
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        first_scene("sp_iou", 0.0),
+        first_scene("sp_iou", "x"),
+        first_scene("sp_iou", math.nan),
+        first_scene("sp_iou", 1.5),
+        first_scene("sp_iou", True),
+        first_scene("scene_id", "3"),
+        lambda text: "{}",
+    ],
+    ids=["zero", "string", "nan", "above_one", "bool", "scene_id_string", "not_a_list"],
+)
+def test_cli_compare_malformed_sp_iou_exit_3(tmp_path, rewrite):
+    # a run writes (inter+1)/(union+1), which lies in (0, 1]
+    compare_exit_3(tmp_path, "sp_iou.json", rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +611,9 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
-def exit_2_before_any_scene(monkeypatch, tmp_path, command, text):
-    """Run command on the config text through cli.main and assert that it
-    returns 2 without drawing a scene."""
+def exit_2_before_any_scene(monkeypatch, tmp_path, command, text, *args):
+    """Run command on the config text, with any further arguments args,
+    through cli.main and assert that it returns 2 without drawing a scene."""
     from canclab import cli, harness
 
     calls = []
@@ -592,7 +626,7 @@ def exit_2_before_any_scene(monkeypatch, tmp_path, command, text):
     monkeypatch.setattr(harness, "generate_scene", counting_generate)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text)
-    assert cli.main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert cli.main([command, str(cfg_path), "--out", str(tmp_path / "o"), *args]) == 2
     assert calls == []
 
 
@@ -671,6 +705,28 @@ def test_cli_network_that_cannot_fit_the_masks_exit_2_before_any_scene(
     # at m = 8, TINY's second conv (kernel 3) receives a 2 x 2 input
     exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace("m = 16", "m = 8"))
     assert "kernel 3 larger than input 2x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, error", [
+    ("algo=vanilla,sorcery", "unknown algorithm 'sorcery'"),
+    ("noise=symmetric;epsilon=0.2,1.5", "epsilon must be in [0,1]"),
+    ("noise=symmetric,pink", "noise type must be"),
+])
+def test_cli_sweep_bad_grid_cell_exit_2_before_any_scene(monkeypatch, tmp_path, capsys, grid, error):
+    # the bad value is the last cell's, so every cell must be checked first
+    exit_2_before_any_scene(monkeypatch, tmp_path, "sweep", TINY, "--grid", grid)
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("slope", ["-0.1", "1.5", "nan", "inf"])
+def test_cli_lrelu_slope_outside_zero_one_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, slope, command
+):
+    text = TINY.replace("conv(4,5,2) lrelu(0.1)", f"conv(4,5,2) lrelu({slope})")
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, text)
+    assert f"lrelu slope must be in [0, 1], got {float(slope)}" in capsys.readouterr().err
 
 
 def test_gen_data_builds_no_network(tmp_path):

@@ -92,6 +92,14 @@ def test_layer_plan_rejects_oversized_kernel():
         NetworkSpec(input_size=4, channels=1, layers=parse_layers("conv(2,5,1) dense(2)"))
 
 
+@pytest.mark.parametrize("slope", ["-0.1", "1.5", "nan", "inf", "-0.0"])
+def test_layer_plan_rejects_a_slope_outside_zero_one(slope):
+    # the branch-free leaky ReLU is exact only for 0 <= slope <= 1, and
+    # -0.0 would turn a -0.0 gradient factor into +0.0
+    with pytest.raises(ConfigError, match=r"layer 1: lrelu slope must be in \[0, 1\]"):
+        NetworkSpec(input_size=12, channels=1, layers=parse_layers(f"conv(3,3,2) lrelu({slope}) dense(2)"))
+
+
 # ---------------------------------------------------------------------------
 # init
 
@@ -321,6 +329,49 @@ def test_forward_bitwise_equals_tensordot_oracle_on_default_network(b):
     net = init_network(spec)
     x = np.random.default_rng(b).uniform(0.0, 1.0, size=(b, size, size, 1))
     assert bitwise_equal(_forward(net, x), tensordot_forward(net, x))
+
+
+LRELU_NETS = {
+    "default": (32, "conv(6,5,2) lrelu({a}) conv(12,3,2) lrelu({a}) dense(2)"),
+    "two_dense": (16, "conv(3,3,2) lrelu({a}) dense(8) lrelu({a}) dense(2)"),
+    "leading_lrelu": (12, "lrelu({a}) conv(4,3,1) lrelu({a}) dense(2)"),
+}
+
+
+@pytest.mark.parametrize("b", [1, 7, 64, 512])
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("name", sorted(LRELU_NETS))
+def test_leaky_relu_bitwise_equals_where_oracle(monkeypatch, name, slope, b):
+    """The branch-free leaky ReLU and the row-wide conv bias must give, bit
+    for bit, what the np.where forms of the oracles give: logits and every
+    cache entry, the loss, every gradient and predict's labels, at both
+    ends of the slope range and inside it."""
+    size, layers = LRELU_NETS[name]
+    spec = NetworkSpec(size, 2, parse_layers(layers.format(a=slope)), seed=b)
+    net = init_network(spec)
+    rng = np.random.default_rng(b)
+    # both signs and both signed zeros reach a leading lrelu
+    x = rng.uniform(-1.0, 1.0, size=(b, size, size, 2))
+    x[0, 0, 0] = (0.0, -0.0)
+    y = rng.integers(0, 2, size=b)
+    got, want = _forward(net, x), tensordot_forward(net, x)
+    assert bitwise_equal(got, want)
+
+    loss, grads = loss_and_gradients(net, y, got)
+    monkeypatch.setattr(nn, "_backward", full_backward)
+    want_loss, want_grads = loss_and_gradients(net, y, want)
+    assert loss == want_loss and bitwise_equal(grads, want_grads)
+
+    labels = np.argmax(want[0], axis=1), np.argmax(want[0][:, ::-1], axis=1)
+    assert bitwise_equal(predict(net, x, twin=True), np.stack(labels))
+
+
+def test_forward_leaves_the_callers_x_unchanged_under_a_leading_lrelu():
+    spec = NetworkSpec(12, 1, parse_layers("lrelu(0.1) conv(3,3,2) lrelu(0.1) dense(2)"))
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 12, 12, 1))
+    kept = x.copy()
+    forward(init_network(spec), x)
+    assert x.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("rows", [[0, 4], [-1], [0, 3, -4]])
