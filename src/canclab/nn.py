@@ -299,8 +299,7 @@ def _forward(net: Network, x: np.ndarray):
             out = np.dot(cols.reshape(-1, w.shape[2] * k * k),
                          w.transpose(2, 0, 1, 3).reshape(-1, layer.channels))
             # free cols, then add b into a fresh array, in tensordot's order:
-            # adding in place left another heap layout and 3 MB more peak RSS;
-            # b is tiled over each sample's whole output (module docstring)
+            # adding in place left another heap layout and 3 MB more peak RSS
             del cols
             hp, wp = windows.shape[1:3]
             out = (out.reshape(len(windows), -1) + np.tile(b, hp * wp)).reshape(

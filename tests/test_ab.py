@@ -63,10 +63,29 @@ def test_summary_needs_nine_tenths_and_a_gap_beyond_the_base_spread(ab):
     assert row["wins"] == 10 and not row["claim"]
 
 
-def test_summary_leaves_out_failed_pairs(ab):
+def test_summary_withholds_the_claim_when_the_change_fails_more(ab, capsys):
     pairs = [(line(1000, 170.0), {"error": "exit 1: boom"})] + [
         (line(1000, 170.0), line(1200, 160.0)) for _ in range(10)
     ]
     rows = by_metric(ab.summarize(pairs, BETTER))
-    assert rows["masks_per_s"]["pairs"] == 10 and rows["peak_rss_mb"]["claim"]
+    # medians over the 10 good pairs, but the share of wins over all 11 run
+    assert rows["masks_per_s"]["pairs"] == 11 and rows["masks_per_s"]["wins"] == 10
+    assert rows["masks_per_s"]["failed"] == {"base": 0, "change": 1}
+    assert not rows["masks_per_s"]["claim"] and not rows["peak_rss_mb"]["claim"]
+    ab.print_rows(list(rows.values()))
+    assert "failed runs: base 0, change 1" in capsys.readouterr().out
     assert ab.summarize([({"error": "x"}, line(1, 1))], BETTER) == []
+
+
+def test_summary_counts_a_failed_pair_against_the_win_share(ab):
+    # the base failed twice: the change fails no more, but 10 wins of 12 is too few
+    pairs = [({"error": "failed 1 of 5 repeats"}, line(1200, 160.0))] * 2 + [
+        (line(1000, 170.0), line(1200, 160.0)) for _ in range(10)
+    ]
+    row = by_metric(ab.summarize(pairs, BETTER))["masks_per_s"]
+    assert (row["wins"], row["pairs"], row["claim"]) == (10, 12, False)
+    # one base failure in 11 pairs: 10 wins is still nine tenths
+    row = by_metric(ab.summarize(pairs[1:], BETTER))["masks_per_s"]
+    assert (row["wins"], row["pairs"], row["failed"], row["claim"]) == (
+        10, 11, {"base": 1, "change": 0}, True)
+

@@ -1,11 +1,11 @@
 """Compare a base commit with a change: report digests, then benchmark pairs.
 
-    python3 tools/ab.py REV [--change REV] [--workload W ...] [--pairs N]
-                        [--seed K] [--seconds S] [--trace 0|1] [--no-digest]
+    python3 tools/ab.py REV [--workload W ...] [--pairs N] [--seed K]
+                            [--seconds S] [--trace 0|1]
 
-Archives REV and the change (HEAD unless --change says otherwise) with
-`git archive` into one temporary directory, so each side runs from its
-committed files only. Then it does two things:
+Archives REV (the base) and HEAD (the change) with `git archive` into one
+temporary directory, so each side runs from its committed files only. Then
+it does two things:
 
 * It runs tools/report_digest.py in both trees and prints every digest
   line, flagging each one that differs. Two trees whose reports should
@@ -17,16 +17,21 @@ committed files only. Then it does two things:
   how many pairs the change won, in the direction BENCHMARK.json gives.
 
 Every run gets OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1:
-compiling bytecode moves peak RSS by a few MB. A metric is marked
-"claim" only under the benchmark's rule: at least ten pairs, the change
-winning at least nine tenths of them (ties count for neither side), and
-the medians apart, in the better direction, by more than the base's
-interquartile range. Uses the standard library only.
+compiling bytecode moves peak RSS by a few MB. A run fails when it exits
+without a result line or when any of its repeats fails; each side's
+failures are counted and printed. A metric is marked "claim" only under the
+benchmark's rule: at least ten pairs run, the change failing no more runs
+than the base, the change winning at least nine tenths of all pairs run (a
+pair with a failed run and a tie count as no win), and the medians over
+the pairs where both runs succeeded apart, in the better direction, by more
+than the base's interquartile range, computed as perfbench/run.py computes
+it. Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -38,6 +43,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+
+
+def _load_quartiles():
+    """perfbench/run.py's _quartiles, so the claim rule uses the benchmark's own."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._quartiles
+
+
+_quartiles = _load_quartiles()
 
 
 def directions() -> dict:
@@ -102,24 +118,21 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return result
 
 
-def _quartiles(xs):
-    if len(xs) < 2:
-        return xs[0], xs[0]
-    q = statistics.quantiles(xs, n=4)
-    return q[0], q[2]
-
-
 def summarize(pairs, better: dict) -> list:
-    """One row per metric that every pair reports on both sides.
+    """One row per metric that every good pair reports on both sides.
 
     pairs is a list of (base, change) results as perfbench/run.py prints
-    them; better maps a metric name to 'higher' or 'lower'. A row holds
-    each side's median and quartiles, the change's wins and the pair count,
-    and whether the change may claim a gain by the benchmark's rule.
+    them, with "error" set on a failed run; better maps a metric name to
+    'higher' or 'lower'. A good pair is one where both runs succeeded. A row
+    holds each side's median and quartiles over the good pairs, the
+    change's wins, the number of pairs run, each side's failed runs, and
+    whether the change may claim a gain by the benchmark's rule.
     """
     good = [(b, c) for b, c in pairs if "error" not in b and "error" not in c]
     if not good:
         return []
+    failed = {"base": sum("error" in b for b, _ in pairs),
+              "change": sum("error" in c for _, c in pairs)}
     names = [n for n in good[0][0]["metrics"]
              if n in better and all(n in b["metrics"] and n in c["metrics"] for b, c in good)]
     rows = []
@@ -137,13 +150,17 @@ def summarize(pairs, better: dict) -> list:
             "base": (statistics.median(base), bq1, bq3),
             "change": (statistics.median(change), cq1, cq3),
             "wins": wins,
-            "pairs": len(good),
-            "claim": len(good) >= MIN_PAIRS and wins >= WIN_SHARE * len(good) and gap > bq3 - bq1,
+            "pairs": len(pairs),
+            "failed": failed,
+            "claim": (len(pairs) >= MIN_PAIRS and failed["change"] <= failed["base"]
+                      and wins >= WIN_SHARE * len(pairs) and gap > bq3 - bq1),
         })
     return rows
 
 
 def print_rows(rows):
+    if rows:
+        print("failed runs: base {base}, change {change}".format(**rows[0]["failed"]))
     print(f"{'metric':<32}{'base median [q1-q3]':>34}{'change median [q1-q3]':>34}"
           f"{'wins':>8}  claim")
     for r in rows:
@@ -156,24 +173,20 @@ def print_rows(rows):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the base commit")
-    ap.add_argument("--change", default="HEAD", help="the changed commit (default HEAD)")
     ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--no-digest", action="store_true", help="skip the report digests")
     args = ap.parse_args(argv)
     workloads = args.workload or [m["name"] for m in
                                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
     with tempfile.TemporaryDirectory(prefix="canclab-ab-") as tmp:
         trees = {"base": archive(args.rev, Path(tmp) / "base"),
-                 "change": archive(args.change, Path(tmp) / "change")}
-        print(f"base {args.rev}, change {args.change}, trees in {tmp}", flush=True)
-        differ = 0
-        if not args.no_digest:
-            differ = compare_digests(digest_lines(trees["base"]), digest_lines(trees["change"]))
+                 "change": archive("HEAD", Path(tmp) / "change")}
+        print(f"base {args.rev}, change HEAD, trees in {tmp}", flush=True)
+        differ = compare_digests(digest_lines(trees["base"]), digest_lines(trees["change"]))
         better = directions()
         for workload in workloads if args.pairs else []:
             print(f"\nworkload {workload} seed {args.seed} trace {args.trace}: "
