@@ -39,20 +39,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of experiments")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", default=DEFAULT_GRID,
                          help="axes as 'algo=...;noise=...;epsilon=...'")
     p_sweep.add_argument("--out", default=None, help="output root override")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="align reports from finished runs")
     p_cmp.add_argument("run_dirs", nargs="+", metavar="run-dir")
     p_cmp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_gen = sub.add_parser("gen-data", help="write the dataset to binary files")
     p_gen.add_argument("config")
     p_gen.add_argument("--out", default=None, help="output directory override")
+    p_gen.set_defaults(handler=_cmd_gen_data)
     return parser
 
 
@@ -112,18 +116,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
-    "gen-data": _cmd_gen_data,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -24,15 +24,6 @@ from .data import DataConfig
 from .errors import ConfigError
 from .training import TrainConfig
 
-__all__ = [
-    "DataConfig",
-    "NoiseConfig",
-    "OutputConfig",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config_text",
-]
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -46,11 +37,17 @@ class NoiseConfig:
             raise ConfigError(f"noise type must be none/symmetric/antisymmetric, got {self.type!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0,1]")
+        if self.seed < 0:
+            raise ConfigError(f"[noise] seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "run"
+
+    def __post_init__(self):
+        if not self.dir:
+            raise ConfigError("[output] dir must not be empty")
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-__all__ = [
-    "Scene",
-    "DataConfig",
-    "MaskDataset",
-    "generate_scene",
-    "build_mask_dataset",
-    "split_dataset",
-    "write_dataset",
-    "read_dataset",
-    "MAGIC",
-]
-
 MAGIC = b"CANC"
 _HEADER = struct.Struct("<4sIIII")  # magic, version, m, channels, count
 
@@ -69,7 +57,7 @@ class DataConfig:
     noise knobs; all ranges are inclusive and are checked here (the
     intensities inside [0, 1]), and so are channels >= 1, tau_label in
     (0, 1), that m divides scene_size and that the split leaves no
-    partition empty."""
+    partition empty. Either source needs seed >= 0."""
 
     source: str = "synthetic"
     path: str = ""
@@ -91,6 +79,8 @@ class DataConfig:
             raise ConfigError(f"data source must be synthetic or file, got {self.source!r}")
         if any(f <= 0 for f in self.split):
             raise ConfigError(f"split fractions must all be > 0, got {self.split}")
+        if self.seed < 0:
+            raise ConfigError(f"[data] seed must be >= 0, got {self.seed}")
         if self.source == "file":
             if not self.path:
                 raise ConfigError("data source 'file' requires a path")
@@ -352,9 +342,9 @@ def write_dataset(path, ds: MaskDataset):
 def read_dataset(path) -> MaskDataset:
     """Read back a file that write_dataset wrote (version 3), with each
     mask's scene id and grid position. Any other version, a malformed
-    header, a file shorter or longer than its header's record count, or a
-    noisy label outside {0, 1} or clean label outside {0, 1, NO_LABEL} is
-    a DataError."""
+    header, a file shorter or longer than its header's record count, a
+    noisy label outside {0, 1}, a clean label outside {0, 1, NO_LABEL}, or
+    NO_LABEL on some records' clean labels but not all is a DataError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -379,15 +369,18 @@ def read_dataset(path) -> MaskDataset:
             raise DataError(f"{path}: {body - n * dtype.itemsize} bytes after the {n} records")
         records = np.fromfile(fh, dtype=dtype, count=n)
     clean = records["clean"]
-    if np.any(records["label"] > 1) or np.any((clean > 1) & (clean != NO_LABEL)):
+    no_clean = clean == NO_LABEL
+    if np.any(records["label"] > 1) or np.any((clean > 1) & ~no_clean):
         raise DataError(
             f"{path}: a label outside {{0, 1}} or a clean label outside {{0, 1, {NO_LABEL}}}"
         )
+    if no_clean.any() and not no_clean.all():
+        raise DataError(f"{path}: some records have a clean label and some have {NO_LABEL}")
     return MaskDataset(
         patches=records["patch"].astype(np.float64),
         labels=records["label"].astype(np.int64),
         scene_ids=records["scene"].astype(np.int64),
         rows=records["row"].astype(np.int64),
         cols=records["col"].astype(np.int64),
-        clean_labels=None if np.all(clean == NO_LABEL) else clean.astype(np.int64),
+        clean_labels=None if no_clean.all() else clean.astype(np.int64),
     )

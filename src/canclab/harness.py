@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _convert
 from .data import build_mask_dataset, generate_scene, read_dataset, split_dataset, write_dataset
 from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
@@ -30,19 +30,6 @@ from .nn import NetworkSpec, parse_layers, predict
 from .noise import make_transition, inject
 from .training import TrainResult, train
 from .version import __version__
-
-__all__ = [
-    "RunReport",
-    "run_experiment",
-    "prepare_data",
-    "gen_data",
-    "sweep",
-    "parse_grid",
-    "compare_runs",
-    "load_report",
-    "resolve_out_dir",
-    "DEFAULT_GRID",
-]
 
 OUT_ENV_VAR = "CANCLAB_OUT"
 DEFAULT_GRID = "algo=vanilla,coteaching,canc;noise=symmetric,antisymmetric;epsilon=0.15,0.35,0.45,0.55"
@@ -59,7 +46,7 @@ class RunReport:
 
     name: str
     out_dir: str
-    setting: dict  # the algo, noise and epsilon compare_runs labels it by
+    setting: dict  # the algo, noise and epsilon that compare_runs and sweep label it by
     files: dict
     best_epoch: int
     best_accuracy: float
@@ -137,10 +124,16 @@ def _json_dumps(obj) -> str:
 
 def _report(summary, run_dir: str, ious, wall_time: float = math.nan) -> RunReport:
     """The report of a run from its summary.json and sp_iou.json contents.
-    Raises AttributeError, KeyError or TypeError when a field is missing."""
+    Raises AttributeError, KeyError or TypeError when a field is missing,
+    or when the name (compare keys its table by it) is not a string or the
+    eval accuracy (compare prints it) not a number."""
     config = summary["config"]
+    name = summary.get("name", os.path.basename(os.path.normpath(run_dir)))
+    accuracy = summary["final_metrics"]["eval"]["accuracy"]
+    if type(name) is not str or type(accuracy) not in (int, float):
+        raise TypeError(f"name {name!r} is not a string or eval accuracy {accuracy!r} not a number")
     return RunReport(
-        name=summary.get("name", os.path.basename(os.path.normpath(run_dir))),
+        name=name,
         out_dir=run_dir,
         setting={
             "algo": config["train"]["algo"],
@@ -156,7 +149,7 @@ def _report(summary, run_dir: str, ious, wall_time: float = math.nan) -> RunRepo
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, out_dir: str = None) -> RunReport:
     """Execute the full pipeline for one config and write its reports. On a
     synthetic source the masks are [data] m x m x channels, so a layer
     list that cannot fit them fails here, before any scene is drawn."""
@@ -201,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None, name: str = None)
         "version": __version__,
         # name comes from the config, never the resolved path, so reruns
         # into a different directory still produce identical bytes
-        "name": name or os.path.basename(os.path.normpath(cfg.output.dir)),
+        "name": os.path.basename(os.path.normpath(cfg.output.dir)),
         "config": asdict(cfg),
         "counts": counts,
         "best": {
@@ -264,10 +257,7 @@ def parse_grid(text: str) -> dict:
         if not items:
             raise ConfigError(f"grid axis {key!r} has no values")
         if key == "epsilon":
-            try:
-                items = [float(v) for v in items]
-            except ValueError as exc:
-                raise ConfigError(f"grid axis 'epsilon': {exc}") from exc
+            items = [_convert(v, 0.0, "grid axis 'epsilon'") for v in items]
         names = [f"{v:g}" for v in items] if key == "epsilon" else items
         if len(set(names)) != len(names):
             raise ConfigError(f"grid axis {key!r} repeats a value in {values.strip()!r}")
@@ -280,11 +270,13 @@ def parse_grid(text: str) -> dict:
 def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = None) -> dict:
     """Run one experiment per grid cell under a common output root and
     write sweep_summary.json there, which holds exactly the returned dict:
-    the grid and one row per cell. Every cell's config is built, and so
-    checked, before the first run: a bad grid value fails before any scene
-    is drawn or any directory made."""
+    the grid and one row per cell. A cell's [output] dir is the configured
+    dir joined with the cell name, so its reports do not depend on where
+    the root resolves; it writes them to <root>/<cell>. Every cell's
+    config is built, and so checked, before the first run: a bad grid
+    value fails before any scene is drawn or any directory made."""
     grid = parse_grid(grid_text)
-    root = resolve_out_dir(cfg.output.dir, out_dir)
+    root = os.path.abspath(resolve_out_dir(cfg.output.dir, out_dir))
     cells = []
     for algo, noise, eps in itertools.product(
         grid.get("algo", [cfg.train.algo]),
@@ -296,20 +288,18 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
             cfg,
             train=replace(cfg.train, algo=algo),
             noise=replace(cfg.noise, type=noise, epsilon=eps),
-            output=replace(cfg.output, dir=os.path.join(root, cell)),
+            output=replace(cfg.output, dir=os.path.join(cfg.output.dir, cell)),
         )
         cells.append((cell, cell_cfg))
     os.makedirs(root, exist_ok=True)
 
     rows = []
     for cell, cell_cfg in cells:
-        report = run_experiment(cell_cfg, name=cell)
+        report = run_experiment(cell_cfg, out_dir=os.path.join(root, cell))
         rows.append(
             {
                 "cell": cell,
-                "algo": cell_cfg.train.algo,
-                "noise": cell_cfg.noise.type,
-                "epsilon": cell_cfg.noise.epsilon,
+                **report.setting,
                 "best_modelsel_accuracy": report.best_accuracy,
                 "eval_accuracy": report.final_metrics["eval"]["accuracy"],
                 "eval_f1": report.final_metrics["eval"]["f1"],

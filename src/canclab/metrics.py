@@ -12,15 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ConfusionCounts",
-    "PRF1",
-    "confusion",
-    "prf1",
-    "sp_iou",
-    "scene_sp_iou",
-]
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -83,21 +74,15 @@ def prf1(c: ConfusionCounts) -> PRF1:
 
 
 def sp_iou(y_true, y_pred) -> float:
-    """Smoothed IoU over one scene's grid of mask labels.
+    """Smoothed IoU over one scene's grid of binary mask labels, which
+    confusion checks.
 
-    intersection counts cells positive in both vectors; union counts cells
-    positive in either. Adding 1 to both keeps all-negative scenes at
-    exactly 1 instead of 0/0.
+    intersection counts cells positive in both vectors (tp); union counts
+    cells positive in either (tp + fp + fn). Adding 1 to both keeps
+    all-negative scenes at exactly 1 instead of 0/0.
     """
-    yt = np.asarray(y_true, dtype=np.int64)
-    yp = np.asarray(y_pred, dtype=np.int64)
-    if yt.shape != yp.shape or yt.ndim != 1:
-        raise ValueError(f"label vectors must match, got {yt.shape} vs {yp.shape}")
-    pos_t = int(np.sum(yt == 1))
-    pos_p = int(np.sum(yp == 1))
-    intersection = int(np.sum((yt == 1) & (yp == 1)))
-    union = pos_t + pos_p - intersection
-    return float((intersection + 1) / (union + 1))
+    c = confusion(y_true, y_pred)
+    return (c.tp + 1) / (c.tp + c.fp + c.fn + 1)
 
 
 def scene_sp_iou(scene_ids, y_true, y_pred):

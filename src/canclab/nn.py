@@ -64,21 +64,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError
 
-__all__ = [
-    "Conv",
-    "Dense",
-    "LeakyRelu",
-    "NetworkSpec",
-    "Network",
-    "init_network",
-    "forward",
-    "per_sample_loss",
-    "predict",
-    "sgd_step",
-    "loss_and_gradients",
-    "swap_logits",
-]
-
 _PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
 
 

@@ -17,15 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .data import MaskDataset
 
-__all__ = [
-    "NoiseTransition",
-    "symmetric_matrix",
-    "antisymmetric_matrix",
-    "make_transition",
-    "apply_noise",
-    "inject",
-]
-
 _COLSUM_TOL = 1e-12
 
 
@@ -39,7 +30,7 @@ class NoiseTransition:
         t = np.asarray(self.matrix, dtype=np.float64)
         if t.shape != (2, 2):
             raise ConfigError(f"transition matrix must be 2x2, got shape {t.shape}")
-        if np.any(t < 0) or np.any(t > 1):
+        if not np.all((t >= 0) & (t <= 1)):
             raise ConfigError("transition entries must lie in [0,1]")
         colsums = t.sum(axis=0)
         if np.any(np.abs(colsums - 1.0) > _COLSUM_TOL):
@@ -49,7 +40,6 @@ class NoiseTransition:
 
 def symmetric_matrix(epsilon: float) -> NoiseTransition:
     """Each class flips to the other with prob epsilon."""
-    _check_rate(epsilon)
     t = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]], dtype=np.float64)
     return NoiseTransition(matrix=t)
 
@@ -57,7 +47,6 @@ def symmetric_matrix(epsilon: float) -> NoiseTransition:
 def antisymmetric_matrix(epsilon: float) -> NoiseTransition:
     """One-directional noise: class 0 flips to 1 with prob epsilon, class 1
     is never corrupted."""
-    _check_rate(epsilon)
     t = np.array([[1.0 - epsilon, 0.0], [epsilon, 1.0]], dtype=np.float64)
     return NoiseTransition(matrix=t)
 
@@ -70,11 +59,6 @@ def make_transition(kind: str, epsilon: float) -> NoiseTransition:
     if kind == "antisymmetric":
         return antisymmetric_matrix(epsilon)
     raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def _check_rate(epsilon: float):
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"noise rate must be in [0,1], got {epsilon}")
 
 
 def apply_noise(labels: np.ndarray, transition: NoiseTransition, rng) -> np.ndarray:

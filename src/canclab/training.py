@@ -31,22 +31,6 @@ from .metrics import PRF1, confusion, prf1
 from .nn import (Network, NetworkSpec, forward, init_network, parse_layers, per_sample_loss,
                  predict, sgd_step, swap_logits)
 
-__all__ = [
-    "TrainConfig",
-    "EpochRecord",
-    "TrainResult",
-    "IterationDiag",
-    "ALGORITHMS",
-    "remember_rate",
-    "select_clean",
-    "select_swap",
-    "flip_labels",
-    "canc_iteration",
-    "train",
-    "derive_train_seeds",
-    "dataset_metrics",
-]
-
 ALGORITHMS = ("vanilla", "coteaching", "canc")
 
 
@@ -79,6 +63,8 @@ class TrainConfig:
             raise ConfigError("t_max and t_k must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"[train] seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.tau_f < 1.0:
             raise ConfigError("tau_f must be in [0,1)")
         if not 0.0 <= self.swap_rate <= 1.0:

@@ -331,6 +331,22 @@ def test_dataset_file_v3_layout(tmp_path):
     assert raw[34:] == ds.patches.astype("<f4").tobytes()
 
 
+@pytest.mark.parametrize("clean_labels", [None, "labels"])
+def test_dataset_file_rejects_clean_labels_on_some_records_only(tmp_path, clean_labels):
+    ds = make_dataset(n_scenes=1, m=8)
+    if clean_labels:
+        ds = ds.with_labels(ds.labels, clean_labels=ds.labels)
+    path = os.path.join(tmp_path, "mixed.bin")
+    write_dataset(path, ds)
+    data = bytearray(open(path, "rb").read())
+    # record 1's clean byte: after the 20-byte header and one 14 + 8*8*4 byte record
+    data[20 + (14 + 8 * 8 * 4) + 1] = NO_LABEL if clean_labels else 0
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
+    with pytest.raises(DataError, match="some records have a clean label"):
+        read_dataset(path)
+
+
 def test_dataset_file_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "bad.bin")
     with open(path, "wb") as fh:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -337,8 +338,13 @@ def test_load_report_missing_files(tmp_path):
         lambda text: "{}",
         # every top-level field there, but not the config fields compare reads
         lambda text: json.dumps({**json.loads(text), "config": {}}),
+        # compare keys its table by the name and prints the eval accuracy
+        lambda text: json.dumps({**json.loads(text), "name": 3}),
+        lambda text: json.dumps({**json.loads(text), "final_metrics": None}),
+        lambda text: json.dumps({**json.loads(text), "final_metrics": {"eval": "accuracy"}}),
     ],
-    ids=["not_json", "empty_object", "config_empty"],
+    ids=["not_json", "empty_object", "config_empty", "name_int", "final_metrics_null",
+         "eval_string"],
 )
 def test_cli_compare_malformed_summary_exit_3(tmp_path, rewrite):
     compare_exit_3(tmp_path, "summary.json", rewrite)
@@ -408,6 +414,15 @@ def test_parse_grid_rejects_a_repeated_axis_or_value(text, error):
         parse_grid(text)
 
 
+def test_parse_grid_reads_an_epsilon_as_the_config_file_does():
+    # float()'s own error text, after the axis
+    error = "^grid axis 'epsilon': could not convert string to float: 'abc'$"
+    with pytest.raises(ConfigError, match=error):
+        parse_grid("epsilon=abc")
+    with pytest.raises(ConfigError, match="grid axis 'epsilon': not a finite number: 'nan'"):
+        parse_grid("epsilon=0.1,nan")
+
+
 def test_sweep_produces_all_cells(tmp_path):
     summary = sweep(
         tiny_cfg(),
@@ -420,6 +435,23 @@ def test_sweep_produces_all_cells(tmp_path):
         assert (tmp_path / cell / "summary.json").exists()
     assert json.loads((tmp_path / "sweep_summary.json").read_text()) == summary
     assert not (tmp_path / "sweep_summary.csv").exists()
+
+
+def test_sweep_cell_reports_do_not_depend_on_the_output_root(monkeypatch, tmp_path):
+    grid = "algo=vanilla,canc;epsilon=0.2"
+    sweep(tiny_cfg(), grid_text=grid, out_dir=str(tmp_path / "a"))
+    # a relative $CANCLAB_OUT roots the sweep, and each cell, once
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CANCLAB_OUT", "b")
+    sweep(tiny_cfg(), grid_text=grid)
+    assert (tmp_path / "b" / "tinyrun" / "sweep_summary.json").exists()
+    for cell in ("vanilla_symmetric_eps0.2", "canc_symmetric_eps0.2"):
+        for fname in ("epochs.csv", "sp_iou.json", "summary.json"):
+            a, b = (tmp_path / root / cell / fname for root in ("a", "b/tinyrun"))
+            assert a.read_bytes() == b.read_bytes(), (cell, fname)
+        summary = json.loads(a.read_text())
+        assert summary["name"] == cell
+        assert summary["config"]["output"]["dir"] == os.path.join("tinyrun", cell)
 
 
 def test_prepare_data_holds_one_scene_at_a_time(monkeypatch):
@@ -611,10 +643,9 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
-def exit_2_before_any_scene(monkeypatch, tmp_path, command, text, *args):
-    """Run command on the config text, with any further arguments args,
-    through cli.main and assert that it returns 2 without drawing a scene."""
-    from canclab import cli, harness
+def count_scenes(monkeypatch):
+    """A list that gains one entry for each scene the harness draws from now on."""
+    from canclab import harness
 
     calls = []
     real_generate = harness.generate_scene
@@ -624,6 +655,15 @@ def exit_2_before_any_scene(monkeypatch, tmp_path, command, text, *args):
         return real_generate(*args, **kwargs)
 
     monkeypatch.setattr(harness, "generate_scene", counting_generate)
+    return calls
+
+
+def exit_2_before_any_scene(monkeypatch, tmp_path, command, text, *args):
+    """Run command on the config text, with any further arguments args,
+    through cli.main and assert that it returns 2 without drawing a scene."""
+    from canclab import cli
+
+    calls = count_scenes(monkeypatch)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text)
     assert cli.main([command, str(cfg_path), "--out", str(tmp_path / "o"), *args]) == 2
@@ -729,6 +769,20 @@ def test_cli_lrelu_slope_outside_zero_one_exit_2_before_any_scene(
     assert f"lrelu slope must be in [0, 1], got {float(slope)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-data"])
+@pytest.mark.parametrize("old, new, error", [
+    ("seed = 0", "seed = -1", "[data] seed must be >= 0, got -1"),
+    ("seed = 1", "seed = -1", "[noise] seed must be >= 0, got -1"),
+    ("seed = 7", "seed = -1", "[train] seed must be >= 0, got -1"),
+    ("dir = tinyrun", "dir =", "[output] dir must not be empty"),
+])
+def test_cli_negative_seed_or_empty_output_dir_exit_2_before_any_scene(
+    monkeypatch, tmp_path, capsys, old, new, error, command
+):
+    exit_2_before_any_scene(monkeypatch, tmp_path, command, TINY.replace(old, new))
+    assert error in capsys.readouterr().err
+
+
 def test_gen_data_builds_no_network(tmp_path):
     cfg = parse_config_text(TINY.replace("m = 16", "m = 8"))
     assert gen_data(cfg, out_dir=str(tmp_path))["files"]["full.bin"]["masks"] == 6 * 16 * 16
@@ -787,3 +841,137 @@ def test_cli_sweep_bad_grid_value_exit_2(tmp_path):
     proc = run_cli(["sweep", str(cfg_path), "--grid", "epsilon=abc", "--out", str(tmp_path / "s")])
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: every drawn config either fails at load or runs
+
+FUZZ_BASE = {
+    "data": {"n_scenes": "3", "scene_size": "32", "m": "8", "split": "0.6,0.2,0.2",
+             "building_count": "1,3", "building_side": "4,12"},
+    "noise": {"type": "symmetric", "epsilon": "0.3"},
+    "train": {"network": "conv(4,3,2) lrelu(0.1) dense(2)", "t_max": "2", "t_k": "1",
+              "batch_size": "16", "swap_rate": "0.1"},
+    "output": {"dir": "fuzzrun"},
+}
+
+# (section, key) -> values to draw, valid and invalid alike
+FUZZ_VALUES = {
+    ("data", "source"): ["file"],
+    ("data", "path"): ["missing.bin", "corrupt.bin"],
+    ("data", "n_scenes"): ["1", "2", "5", "0", "-1"],
+    ("data", "scene_size"): ["16", "48", "0", "-32"],
+    ("data", "m"): ["4", "16", "12", "0", "-8"],
+    ("data", "channels"): ["2", "0"],
+    ("data", "split"): ["0.5,0.25,0.25", "1,0,0", "0.6,0.2", "nan,0.5,0.5", "0.2,0.2,0.6"],
+    ("data", "seed"): ["5", "-1", "x", "123456789012345678901234567890"],
+    ("data", "tau_label"): ["0.5", "0", "1", "-0.1"],
+    ("data", "building_count"): ["0,0", "5,2", "-1,2", "2,30"],
+    ("data", "building_side"): ["1,1", "8,64", "12,4", "32,32", "0,3"],
+    ("data", "building_intensity"): ["0.5,0.5", "0.9,0.1", "-1,1"],
+    ("data", "pixel_noise"): ["0", "0.5", "-0.1", "inf"],
+    ("noise", "type"): ["none", "antisymmetric", "pink"],
+    ("noise", "epsilon"): ["0", "0.55", "1", "1.5", "-0.1", "nan"],
+    ("noise", "seed"): ["0", "-2", "2.5"],
+    ("noise", "noise_modelsel"): ["true", "maybe"],
+    ("train", "algo"): ["vanilla", "coteaching", "sorcery"],
+    ("train", "network"): ["dense(2)", "conv(2,3,1) lrelu(0) conv(3,3,2) dense(2)",
+                           "conv(4,40,1) dense(2)", "dense(3)", "conv(4,3", "lrelu(2) dense(2)",
+                           "dense(2) lrelu(0.5)", ""],
+    ("train", "lr"): ["0", "0.5", "-1", "1e18", "1e300"],
+    ("train", "t_max"): ["1", "3", "0"],
+    ("train", "t_k"): ["3", "0"],
+    ("train", "batch_size"): ["1", "7", "0", "1000"],
+    ("train", "tau_f"): ["0", "0.9", "1", "-0.5"],
+    ("train", "swap_rate"): ["0", "0.45", "0.9", "-0.1"],
+    ("train", "ablation_s_equals_1_minus_r"): ["true"],
+    ("train", "persist_swaps"): ["true"],
+    ("train", "seed"): ["0", "-3", "99999999999999999999"],
+    ("train", "epochs"): ["3"],
+    ("bogus", "key"): ["1"],
+    ("output", "dir"): ["", "nested/run"],
+}
+
+FUZZ_GRIDS = ["algo=vanilla,canc", "epsilon=0.2,abc", "epsilon=nan", "noise=none,pink",
+              "algo=vanilla;algo=canc", "epsilon=0.1,0.10", "", "seed=1",
+              "noise=antisymmetric;epsilon=0.2,0.7", "algo=canc,sorcery;epsilon=0.1"]
+
+
+def fuzz_config(rng):
+    """FUZZ_BASE with one to three (section, key) values drawn from FUZZ_VALUES."""
+    sections = {section: dict(keys) for section, keys in FUZZ_BASE.items()}
+    for section, key in rng.sample(sorted(FUZZ_VALUES), rng.randint(1, 3)):
+        sections.setdefault(section, {})[key] = rng.choice(FUZZ_VALUES[section, key])
+    return ini_text(sections)
+
+
+def ini_text(sections):
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+def corrupt_report(rng, run_dir):
+    """Damage one file of a finished run's report in one of the ways a disk,
+    an editor or another tool might; returns what was done."""
+    fname = rng.choice(["summary.json", "sp_iou.json"])
+    path = run_dir / fname
+    how = rng.choice(["delete", "truncate", "set"])
+    if how == "delete":
+        path.unlink()
+    elif how == "truncate":
+        path.write_bytes(path.read_bytes()[: rng.randrange(path.stat().st_size)])
+    else:
+        obj = json.loads(path.read_text())
+        keys = (["name", "config", "best", "final_metrics", "files"] if fname == "summary.json"
+                else [0])
+        target, key = obj, rng.choice(keys)
+        while isinstance(target[key], dict) and rng.random() < 0.6:
+            target, key = target[key], rng.choice(sorted(target[key]))
+        target[key] = rng.choice([None, 3, "x", [], {}, -1.5])
+    return f"{how} {fname}"
+
+
+def test_cli_config_fuzz_fails_at_load_or_runs(monkeypatch, tmp_path, capsys):
+    """About 50 seeded configs, sweep grids and damaged reports through
+    cli.main: each returns 0, 2, 3 or 4, never raises, and an exit 2 draws
+    no scene."""
+    import random
+
+    from canclab import cli
+
+    scenes = count_scenes(monkeypatch)
+    monkeypatch.delenv("CANCLAB_OUT", raising=False)
+    good = tmp_path / "good"
+    (tmp_path / "good.ini").write_text(ini_text(FUZZ_BASE))
+    assert cli.main(["run", str(tmp_path / "good.ini"), "--out", str(good)]) == 0
+    findings = []
+    for case in range(50):
+        rng = random.Random(case)
+        work = tmp_path / f"case{case}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "corrupt.bin").write_bytes(b"CANC" + bytes(rng.randrange(256) for _ in range(40)))
+        text = fuzz_config(rng)
+        (work / "exp.ini").write_text(text)
+        command = ["run", "run", "run", "run", "gen-data", "sweep", "compare", "compare"][case % 8]
+        if command == "compare":
+            bad = work / "bad"
+            shutil.copytree(good, bad)
+            text = corrupt_report(rng, bad)
+            argv = ["compare", str(good), str(bad)] + rng.choice([[], ["--json"]])
+        else:
+            argv = [command, "exp.ini"] + rng.choice([[], ["--out", "o"]])
+            if command == "sweep":
+                argv += ["--grid", rng.choice(FUZZ_GRIDS)]
+        scenes.clear()
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is a finding
+            findings.append((case, argv, text, repr(exc)))
+            continue
+        if code not in (0, 2, 3, 4) or (code == 2 and scenes):
+            findings.append((case, argv, text, f"exit {code} after {len(scenes)} scenes"))
+    capsys.readouterr()
+    assert findings == []

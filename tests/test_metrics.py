@@ -101,6 +101,12 @@ def test_sp_iou_reference_values():
     assert sp_iou([1, 1, 0, 0], [1, 0, 1, 0]) == 0.5
 
 
+@pytest.mark.parametrize("y_true, y_pred", [([0, 2], [0, 1]), ([1, 0], [1, -1])])
+def test_sp_iou_rejects_what_confusion_rejects(y_true, y_pred):
+    with pytest.raises(ValueError):
+        sp_iou(y_true, y_pred)
+
+
 def test_sp_iou_symmetry_and_range():
     rng = np.random.default_rng(1)
     for _ in range(100):

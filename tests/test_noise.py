@@ -61,6 +61,8 @@ def test_transition_validation():
         NoiseTransition(matrix=np.array([[0.5, 0.0], [0.4, 1.0]]))  # bad column sum
     with pytest.raises(ConfigError):
         NoiseTransition(matrix=np.array([[1.2, 0.0], [-0.2, 1.0]]))  # outside [0,1]
+    with pytest.raises(ConfigError, match=r"entries must lie in \[0,1\]"):
+        NoiseTransition(matrix=np.full((2, 2), np.nan))  # NaN is neither < 0 nor > 1
 
 
 def test_apply_noise_zero_rate_identity():

@@ -1,13 +1,16 @@
 """Print the sha256 of the files that canclab's reproducible runs write.
 
-Runs configs/smoke.ini once and each benchmark workload of
-perfbench/workloads.py at workload seeds 0 and 1, each into its own
-temporary directory, and prints one line per file written:
+Runs configs/smoke.ini once, each benchmark workload of
+perfbench/workloads.py at workload seeds 0 and 1, and last a sweep of
+configs/smoke.ini over algo=vanilla,canc, each into its own temporary
+directory, and prints one line per file written:
 
     <run> <file> <sha256>
 
 A training run writes epochs.csv, sp_iou.json and summary.json; the
-gen-data workload writes full/train/modelsel/eval.bin and manifest.json.
+gen-data workload writes full/train/modelsel/eval.bin and manifest.json;
+the sweep writes sweep_summary.json and one training run's files per
+cell, named <cell>/<file>.
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
 comes from the environment (e.g. OPENBLAS_NUM_THREADS). Run from anywhere:
@@ -29,6 +32,7 @@ from canclab import harness  # noqa: E402
 from canclab.config import load_config, parse_config_text  # noqa: E402
 
 SEEDS = (0, 1)
+SWEEP_GRID = "algo=vanilla,canc"
 
 
 def bench_workloads():
@@ -41,20 +45,23 @@ def bench_workloads():
 
 
 def digests(out):
-    """(file name, sha256) of every file in out, by name."""
-    files = sorted(Path(out).iterdir())
-    return [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in files]
+    """(path under out, sha256) of every file under out, by path."""
+    files = sorted(p for p in Path(out).rglob("*") if p.is_file())
+    return [(p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in files]
 
 
 def runs():
     """(run name, config, kind) of every run to digest."""
-    yield "smoke", load_config(ROOT / "configs" / "smoke.ini"), "train"
+    smoke = load_config(ROOT / "configs" / "smoke.ini")
+    yield "smoke", smoke, "train"
     workloads = bench_workloads()
     for name, workload in workloads.WORKLOADS.items():
         for seed in SEEDS:
             text = workloads.config_text(workloads.default_config(str(ROOT)), name, seed)
             cfg = parse_config_text(text, base_dir=str(ROOT / "configs"))
             yield f"{name}@seed{seed}", cfg, workload["kind"]
+    yield "smoke_sweep", smoke, "sweep"
 
 
 def main():
@@ -62,6 +69,8 @@ def main():
         with tempfile.TemporaryDirectory() as out:
             if kind == "train":
                 harness.run_experiment(cfg, out_dir=out)
+            elif kind == "sweep":
+                harness.sweep(cfg, grid_text=SWEEP_GRID, out_dir=out)
             else:
                 harness.gen_data(cfg, out_dir=out)
             for fname, digest in digests(out):
