@@ -273,35 +273,37 @@ def _forward(net: Network, x: np.ndarray):
     caches = []
     out = x
     p = 0
-    for i, layer in enumerate(net.spec.layers):
-        if isinstance(layer, Conv):
-            w, b = net.params[p]
-            p += 1
-            k, s = layer.kernel_size, layer.stride
-            windows = sliding_window_view(out, (k, k), axis=(1, 2))[:, ::s, ::s]  # (B,H',W',C,k,k)
-            caches.append(("conv", windows, layer, out.shape))
-            cols = np.take(out.reshape(len(out), -1), _taps(out.shape[1:], k, s), axis=1)
-            out = np.dot(cols.reshape(-1, w.shape[2] * k * k),
-                         w.transpose(2, 0, 1, 3).reshape(-1, layer.channels))
-            # free cols, then add b into a fresh array, in tensordot's order:
-            # adding in place left another heap layout and 3 MB more peak RSS
-            del cols
-            hp, wp = windows.shape[1:3]
-            out = (out.reshape(len(windows), -1) + np.tile(b, hp * wp)).reshape(
-                windows.shape[:3] + (layer.channels,))
-        elif isinstance(layer, Dense):
-            w, b = net.params[p]
-            p += 1
-            pre_shape = out.shape
-            flat = out.reshape(out.shape[0], -1)
-            caches.append(("dense", flat, pre_shape))
-            out = flat @ w + b
-        else:  # LeakyRelu
-            post = layer.slope * out  # never write into out: it may be the caller's x
-            out = np.maximum(out, post, out=post)
-            caches.append(("lrelu", out, layer))
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite activations after layer {i}", layer=i)
+    # an overflow surfaces below as the NumericError, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(net.spec.layers):
+            if isinstance(layer, Conv):
+                w, b = net.params[p]
+                p += 1
+                k, s = layer.kernel_size, layer.stride
+                windows = sliding_window_view(out, (k, k), axis=(1, 2))[:, ::s, ::s]  # (B,H',W',C,k,k)
+                caches.append(("conv", windows, layer, out.shape))
+                cols = np.take(out.reshape(len(out), -1), _taps(out.shape[1:], k, s), axis=1)
+                out = np.dot(cols.reshape(-1, w.shape[2] * k * k),
+                             w.transpose(2, 0, 1, 3).reshape(-1, layer.channels))
+                # free cols, then add b into a fresh array, in tensordot's order:
+                # adding in place left another heap layout and 3 MB more peak RSS
+                del cols
+                hp, wp = windows.shape[1:3]
+                out = (out.reshape(len(windows), -1) + np.tile(b, hp * wp)).reshape(
+                    windows.shape[:3] + (layer.channels,))
+            elif isinstance(layer, Dense):
+                w, b = net.params[p]
+                p += 1
+                pre_shape = out.shape
+                flat = out.reshape(out.shape[0], -1)
+                caches.append(("dense", flat, pre_shape))
+                out = flat @ w + b
+            else:  # LeakyRelu
+                post = layer.slope * out  # never write into out: it may be the caller's x
+                out = np.maximum(out, post, out=post)
+                caches.append(("lrelu", out, layer))
+            if not np.all(np.isfinite(out)):
+                raise NumericError(f"non-finite activations after layer {i}", layer=i)
     return out, caches
 
 

@@ -6,9 +6,13 @@ by its own per-sample loss on the labels as given, keeps the low-loss
 fraction R as presumed-clean, additionally takes the top-loss fraction S
 and flips those binary labels, and hands the union to the peer for one SGD
 step. Co-teaching is CANC at S=0, so both run the same step,
-canc_iteration(m1, m2, x, y, r, s, lr). Selections always use pre-update
+canc_iteration(m1, m2, x, y, r, s, lr), built from two halves per network:
+_rank (its forward and per-sample losses) and _teach (the sets chosen from
+its peer's losses, then its SGD step). Selections always use pre-update
 parameters, so the two updates per iteration are order-independent and the
-whole loop is bitwise reproducible from its seeds.
+whole loop is bitwise reproducible from its seeds. The halves meet only
+through the peer's B losses, which is what lets train() run each network
+in its own process.
 
 Each epoch shuffles the training set once and cuts the permutation into
 batch_size chunks, the last one possibly shorter, so every row is fed
@@ -20,7 +24,11 @@ and decays linearly to a floor of 1 - tau_f at epoch t_k.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +36,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import (Network, NetworkSpec, forward, init_network, parse_layers, per_sample_loss,
-                 predict, sgd_step, swap_logits)
+from .nn import (_PREDICT_CHUNK, Network, NetworkSpec, forward, init_network, parse_layers,
+                 per_sample_loss, predict, sgd_step, swap_logits)
 
 ALGORITHMS = ("vanilla", "coteaching", "canc")
 
@@ -187,6 +195,54 @@ def _select_sets(losses, r: float, s: float) -> tuple:
     return clean, swap
 
 
+def _rank(net: Network, x, y):
+    """A network's rank half of a cross-teaching step: its forward over the
+    batch and its per-sample losses on the labels as given."""
+    fwd = forward(net, x)
+    return fwd, per_sample_loss(fwd[0], y)
+
+
+def _teach(net: Network, fwd, y, peer_losses, r: float, s: float, lr: float):
+    """A network's teach half: the clean fraction r and the swap fraction s
+    chosen from its peer's losses, then one SGD step on their union over its
+    own rank forward fwd, swapped rows against their flipped labels.
+    Returns (new network, clean, swap)."""
+    clean, swap = _select_sets(peer_losses, r, s)
+    new = sgd_step(net, flip_labels(y, swap), fwd, lr, np.concatenate([clean, swap]))
+    return new, clean, swap
+
+
+class _Alone:
+    """The peer of a process that owns every network: nothing to trade."""
+
+    teaching = False
+
+    def trade(self, payload) -> dict:
+        return {}
+
+
+def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: float):
+    """One cross-teaching iteration of the pair nets on the batch (x, y),
+    stepping the networks in owned in place; peer trades losses with the
+    process that owns the others. Errors come in the one-process order:
+    network 1's forward, network 2's, selection, network 2's step, network
+    1's step. Returns the IterationDiag, whose other half this process
+    selects itself from its own losses."""
+    ranked = {k: _rank(nets[k], x, y) for k in owned}
+    losses = {k: loss for k, (_, loss) in ranked.items()}
+    losses.update(peer.trade(losses))
+    peer.teaching = True
+    for k in (0, 1):
+        _check_losses(losses[k])
+    sets = {}
+    for k in sorted(owned, reverse=True):
+        nets[k], *sets[k] = _teach(nets[k], ranked[k][0], y, losses[1 - k], r, s, lr)
+    for k in {0, 1}.difference(owned):
+        sets[k] = _select_sets(losses[1 - k], r, s)
+    peer.teaching = False
+    return IterationDiag(*sets[1], *sets[0])
+
+
 def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
     """One cross-teaching step with active label swapping on the batch
     (x, y).
@@ -202,12 +258,9 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     """
     if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
-    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
-    clean_1, swap_1 = _select_sets(per_sample_loss(fwd_1[0], y), r, s)
-    clean_2, swap_2 = _select_sets(per_sample_loss(fwd_2[0], y), r, s)
-    m2_new = sgd_step(m2, flip_labels(y, swap_1), fwd_2, lr, np.concatenate([clean_1, swap_1]))
-    m1_new = sgd_step(m1, flip_labels(y, swap_2), fwd_1, lr, np.concatenate([clean_2, swap_2]))
-    return m1_new, m2_new, IterationDiag(clean_1, swap_1, clean_2, swap_2)
+    nets = [m1, m2]
+    diag = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
+    return nets[0], nets[1], diag
 
 
 def dataset_metrics(net: Network, ds: MaskDataset, twin: bool = False):
@@ -234,7 +287,7 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     them is a ConfigError.
 
     vanilla trains one network on every label as given. coteaching and canc
-    train two networks that cross-teach through canc_iteration; coteaching
+    train two networks that cross-teach as canc_iteration does; coteaching
     runs it at S=0, canc at the configured swap rate. With persist_swaps,
     flips write back to a private working copy of the labels (the input
     dataset is untouched).
@@ -248,20 +301,165 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     the candidate, in the record's metrics and as best_network. The twin
     never feeds back into training: final_networks and every selection and
     swap are the same as without it.
+
+    With two networks, at least two CPUs and the fork start method, a
+    forked worker process owns network 2 and this one network 1. They run
+    the same loop in lockstep: each iteration they trade their B losses,
+    and each epoch their networks and model-selection scores; each scores
+    its own chunks of the candidate on the training split. While they run,
+    each caps OpenBLAS at half the CPUs. Elsewhere one process owns both.
+    The results are the same bit for bit, errors included: a run raises the
+    error that one process would raise first, and no process outlives it.
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
-    n = len(train_ds)
     shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(config.seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-
     spec = NetworkSpec(train_ds.m, train_ds.channels, parse_layers(config.network))
     nets = [init_network(replace(spec, seed=init_seed_1))]
     if config.algo != "vanilla":
         nets.append(init_network(replace(spec, seed=init_seed_2)))
+    job = (train_ds, modelsel_ds, config, nets, shuffle_rng)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(nets) == 1 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return _train_loop(*job, tuple(range(len(nets))), _Alone())
 
+    # fork, not spawn: the worker shares the datasets copy-on-write and
+    # inherits this process's state; OpenBLAS rebuilds its threads in it
+    ctx = multiprocessing.get_context("fork")
+    link, far_end = ctx.Pipe()
+    peer = _Peer(link, sends_first=True)
+    with _blas_threads_at_most(max(1, cpus // 2)):
+        worker = ctx.Process(target=_worker, args=(job, far_end, link), daemon=True)
+        worker.start()
+        far_end.close()
+        try:
+            return _train_loop(*job, (0,), peer)
+        except _Failure as failed:
+            raise failed.error from None
+        except Exception as exc:
+            theirs = peer.report(exc)
+            if isinstance(theirs, _Failure) and theirs.early:
+                raise theirs.error from None
+            raise
+        finally:
+            link.close()
+            worker.join()
+
+
+def _worker(job: tuple, conn, parent_end):
+    """Network 2's owner in a forked pair. An error it raises goes to the
+    parent in place of its next payload, and it then exits quietly."""
+    parent_end.close()  # else the parent's exit would not end conn
+    peer = _Peer(conn, sends_first=False)
+    try:
+        _train_loop(*job, (1,), peer)
+    except _Failure:
+        pass  # the parent failed first and already holds this process's payload
+    except Exception as exc:  # noqa: BLE001 - the parent raises it or an earlier one
+        peer.report(exc)
+    finally:
+        conn.close()
+
+
+class _Failure(Exception):
+    """Sent in place of a process's next payload once it has raised error.
+    early marks an error from selection or the sender's own step: in the
+    one-process order it precedes anything the receiver raised since the
+    last trade, while an error from the sender's next forward follows it."""
+
+    def __init__(self, error: Exception, early: bool):
+        super().__init__(error, early)
+        self.error, self.early = error, early
+
+
+class _Peer:
+    """The other process of a forked pair, in lockstep with this one. The
+    parent sends before it receives and the worker after, so the two never
+    both wait to send on a full pipe."""
+
+    teaching = False  # set by _cross_teach between the loss trade and the steps
+
+    def __init__(self, conn, sends_first: bool):
+        self.conn, self.sends_first = conn, sends_first
+
+    def _swap(self, payload):
+        if self.sends_first:
+            self.conn.send(payload)
+            return self.conn.recv()
+        theirs = self.conn.recv()
+        self.conn.send(payload)
+        return theirs
+
+    def trade(self, payload: dict) -> dict:
+        """This process's payload out, the peer's back; raises the peer's
+        _Failure if it sent one."""
+        try:
+            theirs = self._swap(payload)
+        except (EOFError, OSError) as exc:
+            raise RuntimeError("the other process of the training pair has exited") from exc
+        if isinstance(theirs, _Failure):
+            raise theirs
+        return theirs
+
+    def report(self, error: Exception):
+        """Send error as this process's failure at the next trade; returns
+        the peer's message there, or None if the peer is gone."""
+        try:
+            return self._swap(_Failure(error, self.teaching))
+        except (EOFError, OSError):
+            return None
+
+
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    OpenBLAS that answers is mapped into this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
+                return get, put
+    return None
+
+
+@contextmanager
+def _blas_threads_at_most(n: int):
+    """Cap OpenBLAS at n threads for the block, then restore its count. Two
+    processes that each keep a thread per CPU contend for the CPUs."""
+    calls = _openblas_threads()
+    old = calls[0]() if calls else 0
+    if old > n:
+        calls[1](n)
+    try:
+        yield
+    finally:
+        if old > n:
+            calls[1](old)
+
+
+def _labels(net: Network, x) -> np.ndarray:
+    """predict(net, x), also for zero rows."""
+    return predict(net, x) if len(x) else np.empty(0, dtype=np.int64)
+
+
+def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -> TrainResult:
+    """train()'s loop over the networks in owned, trading with peer for
+    the others; every process of a run returns the same result."""
+    n = len(train_ds)
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
+    # each network's owner scores these rows of the candidate on the
+    # training split; the cut falls between predict's chunks
+    cut = _PREDICT_CHUNK * (-(-n // _PREDICT_CHUNK) // 2) if len(nets) == 2 else n
+    train_parts = (slice(0, cut), slice(cut, n))
 
     best_net, best_epoch, best_acc = nets[0], -1, -np.inf
     records = []
@@ -279,11 +477,11 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
-            if config.algo == "vanilla":
+            if len(nets) == 1:
                 nets[0] = sgd_step(nets[0], y, forward(nets[0], x), config.lr)
                 n_clean += len(idx)
                 continue
-            nets[0], nets[1], diag = canc_iteration(nets[0], nets[1], x, y, r, s_eff, config.lr)
+            diag = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
             n_clean += len(diag.clean_for_m2) + len(diag.clean_for_m1)
             n_swapped += len(diag.swap_for_m2) + len(diag.swap_for_m1)
             swapped_local = np.concatenate([diag.swap_for_m2, diag.swap_for_m1])
@@ -298,14 +496,20 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
         # epoch bookkeeping: score both networks on the model-selection
         # split up to polarity (tie -> network 1), then read the pick
         # through its swapped logits if that scores higher
-        modelsel_all = [dataset_metrics(net, modelsel_ds, twin=True) for net in nets]
+        scored = {k: (nets[k], dataset_metrics(nets[k], modelsel_ds, twin=True)) for k in owned}
+        scored.update(peer.trade(scored))
+        nets[:] = [scored[k][0] for k in range(len(nets))]
+        modelsel_all = [scored[k][1] for k in range(len(nets))]
         polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for m, _ in modelsel_all]
         pick = 1 if len(nets) == 2 and polarity_free[1] > polarity_free[0] else 0
         candidate, inverted = nets[pick], False
         modelsel_metrics, twin_metrics = modelsel_all[pick]
         if modelsel_metrics.accuracy < 0.5 and twin_metrics.accuracy > modelsel_metrics.accuracy:
             candidate, modelsel_metrics, inverted = swap_logits(candidate), twin_metrics, True
-        train_metrics = dataset_metrics(candidate, train_ds)
+        labels = {k: _labels(candidate, train_ds.patches[train_parts[k]]) for k in owned}
+        labels.update(peer.trade(labels))
+        predicted = np.concatenate([labels[k] for k in range(len(nets))])
+        train_metrics = prf1(confusion(train_ds.labels, predicted))
         swap_fraction = n_swap_correct / n_swapped if (n_swapped and clean_ref is not None) else math.nan
         records.append(
             EpochRecord(

@@ -6,10 +6,9 @@ from dataclasses import replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from canclab import ConfigError, MaskDataset, forward, per_sample_loss, select_clean, sgd_step
+from canclab import ConfigError, MaskDataset, select_clean, sgd_step
 from canclab.data import _label_patches
 from canclab.nn import Conv, Dense, _backward, _forward
-from canclab.training import IterationDiag
 
 
 def zeroed(net):
@@ -33,22 +32,17 @@ def inverse_cdf_noise(labels, matrix, rng):
     return np.argmax(u[None, :] < cdf[:, y], axis=0).astype(np.int64)
 
 
-def coteaching_iteration(m1, m2, x, y, r, s, lr):
-    """One cross-teaching step without swapping: each network ranks the
-    batch with one forward, and its step is the mean loss over its peer's
-    low-loss picks of that same forward.
+def coteaching_teach(net, fwd, y, peer_losses, r, s, lr):
+    """One network's half of a cross-teaching step without swapping: its
+    step is the mean loss, over its own rank forward fwd, of the rows its
+    peer's losses rank lowest.
 
-    Written separately from canclab.training.canc_iteration, whose
-    signature it shares so that it can stand in for it; s must be 0.
+    Written separately from canclab.training._teach, whose signature and
+    result it shares so that it can stand in for it; s must be 0.
     """
     assert s == 0.0, "the co-teaching oracle has no swap step"
-    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
-    clean_1 = select_clean(per_sample_loss(fwd_1[0], y), r)
-    clean_2 = select_clean(per_sample_loss(fwd_2[0], y), r)
-    m2_new = sgd_step(m2, y, fwd_2, lr, clean_1)
-    m1_new = sgd_step(m1, y, fwd_1, lr, clean_2)
-    empty = np.empty(0, dtype=np.int64)
-    return m1_new, m2_new, IterationDiag(clean_1, empty, clean_2, empty)
+    clean = select_clean(peer_losses, r)
+    return sgd_step(net, y, fwd, lr, clean), clean, np.empty(0, dtype=np.int64)
 
 
 def gather_and_forward_step(net, x, y, clean, swap, lr):

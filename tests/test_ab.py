@@ -89,3 +89,15 @@ def test_summary_counts_a_failed_pair_against_the_win_share(ab):
     assert (row["wins"], row["pairs"], row["failed"], row["claim"]) == (
         10, 11, {"base": 1, "change": 0}, True)
 
+
+
+def test_network_hashes_flag_each_differing_or_missing_network(ab, capsys):
+    base = [f"{cell} {net} {'a' * 64}" for cell, *_ in ab.NETWORK_CELLS
+            for net in ("best", "final1", "final2")]
+    change = base[:4] + [base[4][:-1] + "b"] + base[5:]
+    assert [ab.compare_digests(base, side, "networks") for side in (base, change, base[:-1])] == [0, 1, 1]
+    out = capsys.readouterr().out
+    assert "networks: 12 lines, 0 differ" in out and out.count("networks: 12 lines, 1 differ") == 2
+    assert out.count("DIFF") == 2
+    assert f"DIFF  base   {base[4]}\n        change {change[4]}" in out
+    assert f"DIFF  base   {base[-1]}\n        change (none)" in out

@@ -41,7 +41,7 @@ from canclab.config import load_config
 from canclab.data import DataConfig
 from canclab.harness import prepare_data, run_experiment
 from canclab.nn import init_network
-from oracles import coteaching_iteration
+from oracles import coteaching_teach
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -181,10 +181,11 @@ def test_criterion_06_canc_s0_reduces_to_coteaching(monkeypatch):
             seed=101,
         )
         with monkeypatch.context() as mp:
-            # co-teaching runs the independent reference step in place of
-            # canc_iteration, so the check never compares a function with itself
+            # co-teaching runs the independent reference half in place of
+            # each network's teach half, in whichever process owns it, so
+            # the check never compares a function with itself
             if algo == "coteaching":
-                mp.setattr(training, "canc_iteration", coteaching_iteration)
+                mp.setattr(training, "_teach", coteaching_teach)
             results[algo] = train(ds, ds, cfg)
     a, b = results["coteaching"], results["canc"]
     ok = repr(a.records) == repr(b.records)

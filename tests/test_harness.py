@@ -643,6 +643,23 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("algo", ["canc", "vanilla"])
+def test_cli_numeric_error_exit_4_prints_only_its_line(tmp_path, algo):
+    """An overflowing step exits 4 with canclab's one line on stderr and no
+    numpy warning before it, also from a forked pair's worker."""
+    smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.ini")
+    with open(smoke, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "lr = 0.05\n" in text and "algo = canc\n" in text
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text.replace("lr = 0.05\n", "lr = 1e300\n")
+                        .replace("algo = canc\n", f"algo = {algo}\n"))
+    proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")],
+                   env_extra={"PYTHONWARNINGS": "default"})
+    assert proc.returncode == 4, proc.stderr
+    assert re.fullmatch(r"numeric error: non-finite [^\n]*\n", proc.stderr), proc.stderr
+
+
 def count_scenes(monkeypatch):
     """A list that gains one entry for each scene the harness draws from now on."""
     from canclab import harness

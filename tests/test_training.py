@@ -2,6 +2,8 @@
 cross-teaching iterations, and the full train() contract."""
 
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from canclab import (
     train,
 )
 from canclab import nn, training
-from oracles import coteaching_iteration, gather_and_forward_step, zeroed
+from oracles import coteaching_teach, gather_and_forward_step, zeroed
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -308,7 +310,10 @@ def test_canc_s_zero_bitwise_equals_coteaching_iteration():
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=5)
     a1, a2, _ = canc_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
-    b1, b2, _ = coteaching_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
+    fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
+    losses_1, losses_2 = per_sample_loss(fwd_1[0], y), per_sample_loss(fwd_2[0], y)
+    b1, _, _ = coteaching_teach(m1, fwd_1, y, losses_2, r=0.7, s=0.0, lr=0.3)
+    b2, _, _ = coteaching_teach(m2, fwd_2, y, losses_1, r=0.7, s=0.0, lr=0.3)
     assert params_equal(a1, b1) and params_equal(a2, b2)
 
 
@@ -318,7 +323,7 @@ def test_cross_update_direction():
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=6)
     fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
-    new1, new2, _ = coteaching_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
+    new1, new2, _ = canc_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
 
     sel2 = select_clean(per_sample_loss(fwd_2[0], y), 0.5)
     expect1 = sgd_step(m1, y, fwd_1, 0.1, sel2)
@@ -427,8 +432,9 @@ def test_train_seed_changes_trajectory():
 def test_train_canc_s_zero_bitwise_equals_coteaching(monkeypatch):
     ds = toy_dataset(n=48, seed=3, noisy=True)
     a = train(ds, ds, base_config(algo="canc", swap_rate=0.0))
-    # co-teaching runs the independent oracle step, not canc_iteration
-    monkeypatch.setattr(training, "canc_iteration", coteaching_iteration)
+    # co-teaching runs the independent oracle half, not _teach, in both
+    # processes of a forked pair
+    monkeypatch.setattr(training, "_teach", coteaching_teach)
     b = train(ds, ds, base_config(algo="coteaching", swap_rate=0.0))
     assert repr(a.records) == repr(b.records)
     for na, nb in zip(a.final_networks, b.final_networks):
@@ -550,3 +556,117 @@ def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
     assert np.all(predict(tied, ds.patches, twin=True) == 0)
     want = (dataset_metrics(swap_logits(tied), ds),) * 2
     assert repr(dataset_metrics(tied, ds, twin=True)) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the forked pair: network 2 in a worker process
+
+PAIR_ROWS = 2 * 512 + 5  # the owners' cut of the training split meets a 5-row chunk
+
+
+def run_pair(monkeypatch, ds, cfg, cpus):
+    """train()'s result, or the NumericError it raised, with cpus CPUs in
+    the affinity mask: 2 forks network 2's owner, 1 keeps both networks
+    in this process. Either way no process outlives the call."""
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        try:
+            outcome = train(ds, ds, cfg)
+        except NumericError as exc:
+            outcome = exc
+    assert multiprocessing.active_children() == []
+    return outcome
+
+
+def network_bytes(net):
+    return b"".join(w.tobytes() + b.tobytes() for w, b in net.params)
+
+
+def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
+    ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
+    cfg = base_config(t_max=3, t_k=1, batch_size=128, swap_rate=0.2, persist_swaps=True)
+    blas = training._openblas_threads()
+    seen = []  # (pid, network seed, BLAS threads) of each rank in this process
+    real_rank = training._rank
+
+    def rank(net, x, y):
+        seen.append((os.getpid(), net.spec.seed, blas[0]() if blas else None))
+        return real_rank(net, x, y)
+
+    monkeypatch.setattr(training, "_rank", rank)
+    old = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](2)
+        forked = run_pair(monkeypatch, ds, cfg, 2)
+        forked_seen, restored = list(seen), blas[0]() if blas else None
+        one = run_pair(monkeypatch, ds, cfg, 1)
+    finally:
+        if blas:
+            blas[1](old)
+    assert repr(forked.records) == repr(one.records)
+    assert any(rec.n_swapped for rec in one.records)
+    assert (forked.best_epoch, forked.best_accuracy) == (one.best_epoch, one.best_accuracy)
+    assert len(forked.final_networks) == 2
+    for got, want in zip((forked.best_network, *forked.final_networks),
+                         (one.best_network, *one.final_networks)):
+        assert network_bytes(got) == network_bytes(want)
+    # the worker ranked network 2, this process network 1 at one BLAS
+    # thread of its two; the one-process pair ranked both at two
+    seed_1, seed_2 = training.derive_train_seeds(cfg.seed)[1:]
+    threads = (1, 2) if blas else (None, None)
+    assert set(forked_seen) == {(os.getpid(), seed_1, threads[0])}
+    assert set(seen[len(forked_seen):]) == {(os.getpid(), seed, threads[1]) for seed in (seed_1, seed_2)}
+    assert restored == threads[1]
+
+
+@pytest.mark.parametrize("faults, raised", [
+    ({("sgd_step", 2): 5}, "sgd_step of network 2"),
+    # network 2's step comes before network 1's step in the same iteration
+    ({("sgd_step", 2): 5, ("sgd_step", 1): 5}, "sgd_step of network 2"),
+    # ... and before network 1's next forward
+    ({("sgd_step", 2): 5, ("forward", 1): 6}, "sgd_step of network 2"),
+    # network 1's step comes before network 2's next forward
+    ({("sgd_step", 1): 5, ("forward", 2): 6}, "sgd_step of network 1"),
+    ({("forward", 2): 3, ("forward", 1): 4}, "forward of network 2"),
+])
+def test_forked_pair_raises_the_one_process_error(monkeypatch, faults, raised):
+    ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
+    cfg = base_config(t_max=2, t_k=1, batch_size=128, swap_rate=0.2)
+    seed_1 = training.derive_train_seeds(cfg.seed)[1]
+    calls = {}
+
+    def faulty(name, real):
+        def call(net, *args):
+            key = (name, 1 if net.spec.seed == seed_1 else 2)
+            calls[key] = calls.get(key, 0) + 1
+            if faults.get(key) == calls[key]:
+                raise NumericError(f"{name} of network {key[1]}, call {calls[key]}")
+            return real(net, *args)
+        return call
+
+    for name in ("forward", "sgd_step"):
+        monkeypatch.setattr(training, name, faulty(name, getattr(training, name)))
+    outcomes = []
+    for cpus in (2, 1):
+        calls.clear()
+        outcomes.append(run_pair(monkeypatch, ds, cfg, cpus))
+    forked, one = outcomes
+    assert isinstance(one, NumericError) and str(one).startswith(raised)
+    assert isinstance(forked, NumericError) and str(forked) == str(one)
+
+
+def test_forked_worker_runs_the_patched_teach_half(monkeypatch):
+    """The worker that owns network 2 inherits a patch of the teach half,
+    so one wrong only outside this process changes the run."""
+    ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
+    cfg = base_config(t_max=1, batch_size=128)
+    parent, real_teach = os.getpid(), training._teach
+
+    def teach(net, fwd, y, peer_losses, r, s, lr):
+        return real_teach(net, fwd, y, peer_losses, r, s, 2 * lr if os.getpid() != parent else lr)
+
+    monkeypatch.setattr(training, "_teach", teach)
+    forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
+    assert network_bytes(forked.final_networks[0]) == network_bytes(one.final_networks[0])
+    assert network_bytes(forked.final_networks[1]) != network_bytes(one.final_networks[1])

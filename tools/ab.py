@@ -1,7 +1,7 @@
 """Compare a base commit with a change: report digests, then benchmark pairs.
 
     python3 tools/ab.py REV [--workload W ...] [--pairs N] [--seed K]
-                            [--seconds S] [--trace 0|1]
+                            [--seconds S] [--trace 0|1] [--networks]
 
 Archives REV (the base) and HEAD (the change) with `git archive` into one
 temporary directory, so each side runs from its committed files only. Then
@@ -9,7 +9,9 @@ it does two things:
 
 * It runs tools/report_digest.py in both trees and prints every digest
   line, flagging each one that differs. Two trees whose reports should
-  agree byte for byte show no flag.
+  agree byte for byte show no flag. With --networks it does the same for
+  the sha256 of the best and final networks of criterion 8's four cells
+  (four full configs/default.ini runs per tree, minutes each).
 * For each workload it runs N pairs of `perfbench/run.py --workload W
   --seed K --seconds S --trace T`, one run per tree, alternating which tree
   goes first, and reads the JSON line each run prints last. For each
@@ -83,7 +85,45 @@ def digest_lines(tree: Path) -> list:
     return proc.stdout.splitlines()
 
 
-def compare_digests(base: list, change: list) -> int:
+# criterion 8's cells as tests/test_acceptance.py runs them: (name, algo, noise, epsilon)
+NETWORK_CELLS = (
+    ("sym_canc", "canc", "symmetric", 0.55),
+    ("sym_vanilla", "vanilla", "symmetric", 0.55),
+    ("anti_canc", "canc", "antisymmetric", 0.45),
+    ("anti_coteaching", "coteaching", "antisymmetric", 0.45),
+)
+
+# run in a tree with the cells as JSON in argv[1]; prints "<cell> <network> <sha256>"
+NETWORK_SCRIPT = """
+import hashlib, json, sys
+from dataclasses import replace
+sys.path.insert(0, "src")
+from canclab import train
+from canclab.config import load_config
+from canclab.harness import prepare_data
+base = load_config("configs/default.ini")
+for cell, algo, kind, eps in json.loads(sys.argv[1]):
+    cfg = replace(base, noise=replace(base.noise, type=kind, epsilon=eps),
+                  train=replace(base.train, algo=algo))
+    res = train(*prepare_data(cfg)[:2], cfg.train)
+    named = [("best", res.best_network)]
+    named += [(f"final{i + 1}", net) for i, net in enumerate(res.final_networks)]
+    for name, net in named:
+        h = hashlib.sha256()
+        for w, b in net.params:
+            h.update(w.tobytes())
+            h.update(b.tobytes())
+        print(cell, name, h.hexdigest(), flush=True)
+"""
+
+
+def network_lines(tree: Path) -> list:
+    proc = subprocess.run([sys.executable, "-c", NETWORK_SCRIPT, json.dumps(NETWORK_CELLS)],
+                          cwd=tree, env=env(), capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def compare_digests(base: list, change: list, what: str = "digest") -> int:
     """Print both trees' digest lines side by side; returns how many differ."""
     differ = 0
     for i in range(max(len(base), len(change))):
@@ -94,7 +134,7 @@ def compare_digests(base: list, change: list) -> int:
         else:
             differ += 1
             print(f"  DIFF  base   {b}\n        change {c}")
-    print(f"digest: {max(len(base), len(change))} lines, {differ} differ")
+    print(f"{what}: {max(len(base), len(change))} lines, {differ} differ")
     return differ
 
 
@@ -178,6 +218,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--networks", action="store_true",
+                    help="also compare the hashes of criterion 8's best and final networks")
     args = ap.parse_args(argv)
     workloads = args.workload or [m["name"] for m in
                                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -187,6 +229,9 @@ def main(argv=None) -> int:
                  "change": archive("HEAD", Path(tmp) / "change")}
         print(f"base {args.rev}, change HEAD, trees in {tmp}", flush=True)
         differ = compare_digests(digest_lines(trees["base"]), digest_lines(trees["change"]))
+        if args.networks:
+            differ += compare_digests(network_lines(trees["base"]), network_lines(trees["change"]),
+                                      "networks")
         better = directions()
         for workload in workloads if args.pairs else []:
             print(f"\nworkload {workload} seed {args.seed} trace {args.trace}: "
