@@ -226,13 +226,13 @@ def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: f
     stepping the networks in owned in place; peer trades losses with the
     process that owns the others. Errors come in the one-process order:
     network 1's forward, network 2's, selection, network 2's step, network
-    1's step. Returns the IterationDiag, whose other half this process
-    selects itself from its own losses."""
+    1's step. Returns the IterationDiag; the sets that teach a network
+    this process does not own it chooses itself, from its own losses."""
     ranked = {k: _rank(nets[k], x, y) for k in owned}
     losses = {k: loss for k, (_, loss) in ranked.items()}
     losses.update(peer.trade(losses))
     peer.teaching = True
-    for k in (0, 1):
+    for k in (0, 1):  # selection's own check, made before either step
         _check_losses(losses[k])
     sets = {}
     for k in sorted(owned, reverse=True):
