@@ -629,6 +629,10 @@ def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
     # network 1's step comes before network 2's next forward
     ({("sgd_step", 1): 5, ("forward", 2): 6}, "sgd_step of network 1"),
     ({("forward", 2): 3, ("forward", 1): 4}, "forward of network 2"),
+    # at an epoch's end: 1,029 rows at B=128 are 9 iterations
+    ({("dataset_metrics", 2): 1, ("dataset_metrics", 1): 1}, "dataset_metrics of network 1"),
+    ({("sgd_step", 2): 9, ("dataset_metrics", 1): 1}, "sgd_step of network 2"),
+    ({("dataset_metrics", 2): 1, ("forward", 1): 10}, "dataset_metrics of network 2"),
 ])
 def test_forked_pair_raises_the_one_process_error(monkeypatch, faults, raised):
     ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
@@ -637,15 +641,15 @@ def test_forked_pair_raises_the_one_process_error(monkeypatch, faults, raised):
     calls = {}
 
     def faulty(name, real):
-        def call(net, *args):
+        def call(net, *args, **kwargs):
             key = (name, 1 if net.spec.seed == seed_1 else 2)
             calls[key] = calls.get(key, 0) + 1
             if faults.get(key) == calls[key]:
                 raise NumericError(f"{name} of network {key[1]}, call {calls[key]}")
-            return real(net, *args)
+            return real(net, *args, **kwargs)
         return call
 
-    for name in ("forward", "sgd_step"):
+    for name in ("forward", "sgd_step", "dataset_metrics"):
         monkeypatch.setattr(training, name, faulty(name, getattr(training, name)))
     outcomes = []
     for cpus in (2, 1):
