@@ -3,11 +3,17 @@
 A "mask" is an m x m image patch; its binary label says whether the
 building fraction of the ground-truth raster under it reaches tau_label.
 build_mask_dataset is the one tiling and labelling path: it tags each mask
-with its scene id and grid position (rows, cols). Synthetic scenes stand
-in for real satellite/label imagery: axis-aligned rectangular buildings on
-a darker background, plus pixel noise. DataConfig, the [data] config
-section, holds the generator's knobs and the mask size, labeling
-threshold, split and seed.
+with its scene id and grid position (rows, cols). It has one build path,
+over sorted index sets into the scene-major whole: each scene's masks are
+scattered straight into one preallocated array per set, so a run's
+(train, modelsel, eval) partitions are built without the whole dataset
+ever being held; the whole is the one set of every row. Synthetic scenes
+stand in for real satellite/label imagery: axis-aligned rectangular
+buildings on a darker background, plus pixel noise. DataConfig, the [data]
+config section, holds the generator's knobs and the mask size, labeling
+threshold, split and seed, and gives a synthetic source's partition index
+sets. A file source is split by split_dataset instead, whose take widens
+only the partitions' rows of the file's float32 patches to float64.
 """
 
 from __future__ import annotations
@@ -91,10 +97,7 @@ class DataConfig:
             )
         if self.m < 1 or self.scene_size % self.m != 0:
             raise ConfigError(f"mask size {self.m} does not divide scene size {self.scene_size}")
-        # every scene gives (scene_size / m)^2 masks, so an empty partition
-        # is known before any scene is drawn
-        masks_per_scene = (self.scene_size // self.m) ** 2
-        _split_indices(np.repeat(np.arange(self.n_scenes), masks_per_scene), self.split, self.seed)
+        self.split_indices()
         for name in ("building_count", "building_side"):
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
@@ -110,6 +113,15 @@ class DataConfig:
             if not 0 <= lo <= hi <= 1:
                 raise ConfigError(f"{name} range ({lo},{hi}) is empty or outside [0,1]")
         _check_tau(self.tau_label)
+
+    def split_indices(self):
+        """A synthetic source's sorted (train, modelsel, eval) row indices
+        into the mask dataset its scenes give: _split_indices on the scene
+        ids build_mask_dataset will tag, scene i's (scene_size / m)^2 masks
+        with id i. They are known before any scene is drawn, so load time
+        already rejects a split that leaves a partition empty."""
+        scene_ids = np.repeat(np.arange(self.n_scenes), (self.scene_size // self.m) ** 2)
+        return _split_indices(scene_ids, self.split, self.seed)
 
 
 _PLACEMENT_ATTEMPTS = 40  # rejection-sampling budget per building
@@ -172,6 +184,9 @@ def _label_patches(gt_patches: np.ndarray, tau_label: float) -> np.ndarray:
     return (flat.sum(axis=1) / flat.shape[1] >= tau_label).astype(np.int64)
 
 
+_TAKE_CHUNK = 128  # rows MaskDataset.take gathers at a time
+
+
 @dataclass(eq=False)
 class MaskDataset:
     """A flat collection of labeled masks tagged with their scene/grid origin.
@@ -180,7 +195,7 @@ class MaskDataset:
     pre-noise truth for diagnostics only.
     """
 
-    patches: np.ndarray  # (N, m, m, C) float64
+    patches: np.ndarray  # (N, m, m, C) float64, or a file's float32 before its split
     labels: np.ndarray  # (N,) int64 in {0,1}
     scene_ids: np.ndarray  # (N,) int64
     rows: np.ndarray  # (N,) int64
@@ -204,10 +219,17 @@ class MaskDataset:
         return self.patches.shape[3]
 
     def take(self, idx) -> "MaskDataset":
+        """The masks at rows idx, with float64 patches. They are gathered
+        _TAKE_CHUNK rows at a time, so the float32 patches of a file read
+        with widen=False are widened one chunk at a time and no float32
+        copy of the whole selection is ever held."""
         idx = np.asarray(idx, dtype=np.int64)
+        patches = np.empty((len(idx),) + self.patches.shape[1:])
+        for start in range(0, len(idx), _TAKE_CHUNK):
+            patches[start : start + _TAKE_CHUNK] = self.patches[idx[start : start + _TAKE_CHUNK]]
         clean = None if self.clean_labels is None else self.clean_labels[idx]
         return MaskDataset(
-            patches=self.patches[idx],
+            patches=patches,
             labels=self.labels[idx],
             scene_ids=self.scene_ids[idx],
             rows=self.rows[idx],
@@ -223,41 +245,68 @@ class MaskDataset:
         )
 
 
-def build_mask_dataset(scenes, n_scenes: int, m: int, tau_label: float) -> MaskDataset:
+def build_mask_dataset(scenes, n_scenes: int, m: int, tau_label: float, index_sets=None):
     """Tile and label the n_scenes equal-sized scenes of the iterable scenes,
-    one at a time: each scene's masks are written straight into one
-    preallocated (n_scenes * g^2, m, m, C) array and labelled, and the scene
-    is not kept, so with a lazy iterable no list of scenes or of per-scene
-    tiles is ever held. Mask order is scene-major, then row-major within
-    the scene."""
+    one at a time, into the mask dataset they give: scene-major, then
+    row-major within the scene, each mask tagged with its scene id and grid
+    position.
+
+    With index_sets, a sequence of ascending row-index arrays into that
+    dataset, it returns one MaskDataset per set, each equal to
+    whole.take(idx) bit for bit, and the whole is never built: each scene's
+    masks and labels are scattered straight into one preallocated array per
+    set. Without them it returns the whole, the one set of every row. A
+    scene is not kept once its masks are written, so with a lazy iterable
+    no list of scenes, and only the current scene's tiles, is ever held."""
     if n_scenes < 1:
         raise ConfigError("no scenes given")
-    patches = labels = sids = None
-    k = -1
-    for k, scene in enumerate(scenes):
+    outs = None
+    k = 0  # counted by hand: enumerate would hold on to the last scene
+    for scene in scenes:
         if k == n_scenes:
             raise ConfigError(f"more than the {n_scenes} scenes expected")
         image, gt = _grid(scene, m)
-        g = len(image)
-        if patches is None:
-            patches = np.empty((n_scenes,) + image.shape)
-            labels = np.empty((n_scenes, g * g), dtype=np.int64)
-            sids = np.empty((n_scenes, g * g), dtype=np.int64)
-        if image.shape != patches.shape[1:]:
+        if outs is None:
+            first_shape = image.shape
+            g = len(image)
+            per = g * g
+            sets = (np.arange(n_scenes * per),) if index_sets is None else index_sets
+            outs = [_scatter_target(idx, n_scenes, per, image.shape[2:]) for idx in sets]
+        if image.shape != first_shape:
             raise DataError(f"scene {scene.scene_id} is {scene.image.shape}, unlike the first scene")
-        patches[k] = image
-        labels[k] = _label_patches(gt.reshape(g * g, m * m), tau_label)
-        sids[k] = scene.scene_id
-    if k + 1 != n_scenes:
-        raise ConfigError(f"{k + 1} scenes given, {n_scenes} expected")
-    rows, cols = np.divmod(np.tile(np.arange(g * g), n_scenes), g)
-    return MaskDataset(
-        patches=patches.reshape(-1, m, m, patches.shape[-1]),
-        labels=labels.reshape(-1),
-        scene_ids=sids.reshape(-1),
-        rows=rows,
-        cols=cols,
-    )
+        labels = _label_patches(gt.reshape(per, m * m), tau_label)
+        tiles = image.reshape(per, *first_shape[2:])  # a copy, as image is a transposed view
+        for idx, bounds, patches, out_labels, sids in outs:
+            lo, hi = bounds[k], bounds[k + 1]
+            local = idx[lo:hi] - k * per
+            # local lies in [0, per) by construction; mode="clip" writes
+            # into out without a buffer, which the default mode allocates
+            np.take(tiles, local, axis=0, out=patches[lo:hi], mode="clip")
+            out_labels[lo:hi] = labels[local]
+            sids[lo:hi] = scene.scene_id
+        k += 1
+        del scene, image, gt, tiles  # the next scene is drawn with none of this one held
+    if k != n_scenes:
+        raise ConfigError(f"{k} scenes given, {n_scenes} expected")
+    parts = []
+    for idx, _, patches, out_labels, sids in outs:
+        rows, cols = np.divmod(idx % per, g)
+        parts.append(MaskDataset(patches, out_labels, sids, rows, cols))
+    return parts[0] if index_sets is None else tuple(parts)
+
+
+def _scatter_target(idx, n_scenes: int, per: int, mask_shape):
+    """build_mask_dataset's arrays for one index set: the checked int64
+    indices, where each scene's rows start and end in them, and the empty
+    patches, labels and scene ids."""
+    idx = np.asarray(idx, dtype=np.int64)
+    n_rows = n_scenes * per
+    if idx.ndim != 1 or np.any(idx[1:] < idx[:-1]) or np.any((idx < 0) | (idx >= n_rows)):
+        raise ValueError(f"an index set must be ascending row indices in [0, {n_rows})")
+    bounds = np.searchsorted(idx, np.arange(n_scenes + 1) * per)
+    n = len(idx)
+    return (idx, bounds, np.empty((n,) + mask_shape),
+            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
 def split_dataset(ds: MaskDataset, fractions, seed: int):
@@ -274,8 +323,8 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
 
 def _split_indices(scene_ids, fractions, seed: int):
     """split_dataset on the masks' scene ids alone: the sorted (train,
-    modelsel, eval) row indices. DataConfig runs it on a synthetic
-    source's scene ids at load."""
+    modelsel, eval) row indices. DataConfig.split_indices runs it on a
+    synthetic source's scene ids, at load and for the build."""
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0 for x in f):
         raise ConfigError(f"fractions must be three non-negative numbers, got {fractions}")
@@ -339,12 +388,16 @@ def write_dataset(path, ds: MaskDataset):
         records.tofile(fh)
 
 
-def read_dataset(path) -> MaskDataset:
+def read_dataset(path, widen: bool = True) -> MaskDataset:
     """Read back a file that write_dataset wrote (version 3), with each
     mask's scene id and grid position. Any other version, a malformed
     header, a file shorter or longer than its header's record count, a
     noisy label outside {0, 1}, a clean label outside {0, 1, NO_LABEL}, or
-    NO_LABEL on some records' clean labels but not all is a DataError."""
+    NO_LABEL on some records' clean labels but not all is a DataError.
+
+    The patches are widened to float64, or with widen=False left as a
+    float32 view into the records, which MaskDataset.take widens only for
+    the rows it takes: a file source is split before it is widened."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -377,7 +430,7 @@ def read_dataset(path) -> MaskDataset:
     if no_clean.any() and not no_clean.all():
         raise DataError(f"{path}: some records have a clean label and some have {NO_LABEL}")
     return MaskDataset(
-        patches=records["patch"].astype(np.float64),
+        patches=records["patch"].astype(np.float64) if widen else records["patch"],
         labels=records["label"].astype(np.int64),
         scene_ids=records["scene"].astype(np.int64),
         rows=records["row"].astype(np.int64),

@@ -74,37 +74,46 @@ def _write_atomic(path: str, data) -> None:
     os.replace(tmp, path)
 
 
-def _build_split_noise(cfg: ExperimentConfig):
-    """Build the whole mask dataset from scenes drawn one at a time, or read
-    it, split it, and inject label noise into the training partition (and
-    optionally the model-selection partition). Returns (whole, train,
-    modelsel, eval)."""
+def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
+    """The (train, modelsel, eval) partitions, with label noise injected
+    into the training partition (and optionally the model-selection
+    partition); with_full puts the whole clean dataset first. A synthetic
+    source's scenes are drawn one at a time and their masks built straight
+    into the partitions (and the whole); a file is read as float32, split,
+    and widened one partition at a time."""
     d = cfg.data
     if d.source == "synthetic":
+        sets = d.split_indices()
+        if with_full:
+            # the partitions are exhaustive, so together they count every row
+            sets = (np.arange(sum(map(len, sets))),) + sets
         scenes = (generate_scene(d, scene_id=i) for i in range(d.n_scenes))
-        ds = build_mask_dataset(scenes, d.n_scenes, d.m, d.tau_label)
+        *full, train_ds, modelsel_ds, eval_ds = build_mask_dataset(
+            scenes, d.n_scenes, d.m, d.tau_label, sets
+        )
     else:
-        ds = read_dataset(d.path)
+        ds = read_dataset(d.path, widen=False)
         if ds.clean_labels is not None:
             raise ConfigError(
                 f"{d.path} already has noisy labels; a file source must hold the "
                 "clean truth, as gen-data's full.bin does"
             )
-    train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
+        full = []
+        train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
 
     if cfg.noise.type != "none":
         t = make_transition(cfg.noise.type, cfg.noise.epsilon)
         train_ds = inject(train_ds, t, np.random.SeedSequence((cfg.noise.seed, 0)))
         if cfg.noise.noise_modelsel:
             modelsel_ds = inject(modelsel_ds, t, np.random.SeedSequence((cfg.noise.seed, 1)))
-    return ds, train_ds, modelsel_ds, eval_ds
+    return (*full, train_ds, modelsel_ds, eval_ds)
 
 
 def prepare_data(cfg: ExperimentConfig):
     """Steps 1-2 of the pipeline: the (train, modelsel, eval) partitions,
     with label noise in train (and optionally modelsel). Evaluation labels
     stay clean."""
-    return _build_split_noise(cfg)[1:]
+    return _build_split_noise(cfg)
 
 
 def _epochs_csv(result: TrainResult) -> str:
@@ -222,7 +231,7 @@ def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
 
     manifest = {"version": __version__, "m": cfg.data.m, "channels": cfg.data.channels, "files": {}}
     names = ("full.bin", "train.bin", "modelsel.bin", "eval.bin")
-    for fname, part in zip(names, _build_split_noise(cfg)):
+    for fname, part in zip(names, _build_split_noise(cfg, with_full=True)):
         path = os.path.join(out, fname)
         tmp = path + ".tmp"
         write_dataset(tmp, part)

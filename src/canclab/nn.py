@@ -24,8 +24,14 @@ loss_and_gradients(net, y, fwd, rows) exposes that loss and its gradients;
 rows defaults to the whole batch. Unchosen rows enter the backward with a
 zero gradient, so a step runs no forward of its own and every GEMM of it
 has B rows, whatever the choice. predict(net, x) labels any number of
-rows, in forwards over fixed chunks, and with twin=True also gives
-swap_logits(net)'s labels from the same logits. Backprop stops at the first
+rows, in forwards over fixed chunks of _PREDICT_CHUNK = 128 rows, and with
+twin=True also gives swap_logits(net)'s labels from the same logits. The
+chunk bounds a prediction's memory whatever the row count. Its size is a
+declared numerics choice: OpenBLAS switches to a small-matrix kernel when
+M*N*K <= 10^6, so a chunk of a few tail rows can round its logits in the
+last bits unlike the same rows inside a larger chunk, and a change of
+chunk size may move the logits (not, on the shipped configs, any label).
+Training never calls predict, so no network depends on it. Backprop stops at the first
 parametric layer's weights: no gradient with respect to the network input
 is formed.
 
@@ -64,7 +70,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError
 
-_PREDICT_CHUNK = 512  # fixed so rerun predictions are bitwise identical
+# Rows per predict forward. Fixed, so rerun predictions are bitwise
+# identical. 128 rows hold a default-network forward's working set near
+# 7.6 MiB (conv1's im2col matrix is 5 MB of it); 512 rows needed 30 MiB,
+# which set a run's peak memory during its per-epoch evaluation. The
+# logits depend on the chunk size in the last bits at some row counts, where
+# the cut leaves a tail of a few rows (see the module docstring).
+_PREDICT_CHUNK = 128
 
 
 def _fix_malloc_thresholds():

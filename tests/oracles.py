@@ -7,7 +7,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from canclab import ConfigError, MaskDataset, select_clean, sgd_step
-from canclab.data import _label_patches
+from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
 
 
@@ -170,4 +170,26 @@ def concatenated_mask_dataset(scenes, m, tau_label):
         scene_ids=np.concatenate(sids),
         rows=np.concatenate(rows),
         cols=np.concatenate(cols),
+    )
+
+
+def build_then_split(scenes, m, tau_label, fractions, seed):
+    """The (train, modelsel, eval) partitions as a run once made them: the
+    whole mask dataset first, then each partition copied out of it by
+    fancy indexing.
+
+    Written separately from canclab.data.build_mask_dataset, which
+    scatters each scene's masks straight into the partitions' arrays and
+    never builds the whole.
+    """
+    whole = concatenated_mask_dataset(scenes, m, tau_label)
+    return tuple(
+        MaskDataset(
+            patches=whole.patches[idx],
+            labels=whole.labels[idx],
+            scene_ids=whole.scene_ids[idx],
+            rows=whole.rows[idx],
+            cols=whole.cols[idx],
+        )
+        for idx in _split_indices(whole.scene_ids, fractions, seed)
     )

@@ -20,8 +20,8 @@ from canclab import (
     write_dataset,
 )
 from canclab.config import parse_config_text
-from canclab.data import NO_LABEL
-from oracles import concatenated_mask_dataset
+from canclab.data import NO_LABEL, _split_indices
+from oracles import build_then_split, concatenated_mask_dataset
 
 
 def small_params(**kw):
@@ -211,6 +211,67 @@ def test_build_mask_dataset_rejects_a_scene_count_or_size_it_was_not_given():
         build_mask_dataset([scene, scene], 1, 16, 0.01)
     with pytest.raises(DataError, match="unlike the first scene"):
         build_mask_dataset([scene, generate_scene(small_params(scene_size=128))], 2, 16, 0.01)
+
+
+FIELDS = ("patches", "labels", "scene_ids", "rows", "cols")
+
+
+def assert_same_masks(got, expect):
+    assert got.clean_labels is None and expect.clean_labels is None
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(expect, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("split", [(0.6, 0.2, 0.2), (0.8, 0.0, 0.2)])
+@pytest.mark.parametrize("n_scenes", [3, 6])
+@pytest.mark.parametrize("m", [8, 32])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_build_into_index_sets_matches_build_then_split_bitwise(channels, m, n_scenes, split, seed):
+    # scene ids start at 10, not 0
+    scenes = [generate_scene(small_params(channels=channels, seed=5), scene_id=10 + i)
+              for i in range(n_scenes)]
+    sets = _split_indices(np.repeat([s.scene_id for s in scenes], (64 // m) ** 2), split, seed)
+    got = build_mask_dataset(iter(scenes), n_scenes, m, 0.01, sets)
+    expect = build_then_split(scenes, m, 0.01, split, seed)
+    assert len(got) == 3
+    for part, want in zip(got, expect):
+        assert_same_masks(part, want)
+    if m == 32 and split[1] > 0:
+        # 4 masks a scene: some pool scene gives modelsel no rows
+        pool = np.setdiff1d([s.scene_id for s in scenes], got[2].scene_ids)
+        assert not set(pool) <= set(got[1].scene_ids)
+
+
+def test_build_into_every_row_and_the_partitions_is_the_whole_and_its_split():
+    scenes = [generate_scene(small_params(), scene_id=i) for i in range(4)]
+    whole = build_mask_dataset(scenes, 4, 16, 0.01)
+    sets = _split_indices(whole.scene_ids, (0.6, 0.2, 0.2), 1)
+    got = build_mask_dataset(iter(scenes), 4, 16, 0.01, (np.arange(len(whole)),) + sets)
+    for part, want in zip(got, (whole,) + split_dataset(whole, (0.6, 0.2, 0.2), 1)):
+        assert_same_masks(part, want)
+    # an empty set gives an empty dataset of the masks' shape
+    empty, = build_mask_dataset(scenes, 4, 16, 0.01, [np.empty(0, dtype=np.int64)])
+    assert empty.patches.shape == (0, 16, 16, 1) and len(empty) == 0
+
+
+@pytest.mark.parametrize("idx", [[2, 1], [0, 64], [-1, 3], [[0, 1]]])
+def test_build_rejects_an_index_set_that_is_not_ascending_rows(idx):
+    scenes = [generate_scene(small_params(), scene_id=i) for i in range(4)]  # 64 masks
+    with pytest.raises(ValueError, match="ascending row indices in \\[0, 64\\)"):
+        build_mask_dataset(scenes, 4, 16, 0.01, [np.arange(3), idx])
+
+
+def test_build_into_index_sets_keeps_the_scene_count_and_shape_checks():
+    scene = generate_scene(small_params())
+    sets = [np.arange(4)]
+    with pytest.raises(ConfigError, match="1 scenes given, 2 expected"):
+        build_mask_dataset([scene], 2, 16, 0.01, sets)
+    with pytest.raises(ConfigError, match="more than the 1 scenes"):
+        build_mask_dataset([scene, scene], 1, 16, 0.01, sets)
+    with pytest.raises(DataError, match="unlike the first scene"):
+        build_mask_dataset([scene, generate_scene(small_params(scene_size=128))], 2, 16, 0.01, sets)
 
 
 # ---------------------------------------------------------------------------

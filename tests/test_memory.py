@@ -1,0 +1,71 @@
+"""Peak memory of the data build and of prediction on the default config,
+as tracemalloc sees it: numpy reports its data buffers to tracemalloc, so
+a transient copy of the dataset or a large forward shows in the peak."""
+
+import os
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+
+from canclab import NetworkSpec, gen_data, generate_scene, init_network, parse_layers, predict
+from canclab.config import load_config
+from canclab.harness import prepare_data
+
+DEFAULT_INI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "default.ini")
+MiB = 1 << 20
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most bytes allocated at once while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def held_bytes(parts):
+    return sum(a.nbytes for ds in parts
+               for a in (ds.patches, ds.labels, ds.scene_ids, ds.rows, ds.cols, ds.clean_labels)
+               if a is not None)
+
+
+def test_prepare_data_holds_its_partitions_and_one_scene():
+    """The build writes each scene's masks straight into the partitions, so
+    at its peak it holds them and one scene: the scene being tiled and its
+    tile copy, or the scene being drawn and its pixel-noise draw. The whole
+    dataset, as large as the partitions together, never exists."""
+    cfg = load_config(DEFAULT_INI)
+    parts, peak = traced_peak(prepare_data, cfg)
+    scene = generate_scene(cfg.data)
+    one_scene = scene.image.nbytes + scene.gt.nbytes  # 2.25 MiB
+    assert held_bytes(parts) > 40 * MiB
+    assert peak <= held_bytes(parts) + 2 * one_scene, peak / MiB
+
+
+def test_file_source_prepare_data_widens_only_the_partitions(tmp_path):
+    """A file source is read as float32 and split before it is widened:
+    the peak holds the records and the float64 partitions, never the whole
+    file in float64. The 1 MiB covers the file's int64 label and grid
+    columns, which live as long as the records, and the take's chunk."""
+    cfg = load_config(DEFAULT_INI)
+    gen_data(cfg, out_dir=str(tmp_path))
+    path = str(tmp_path / "full.bin")
+    from_file = replace(cfg, data=replace(cfg.data, source="file", path=path))
+    parts, peak = traced_peak(prepare_data, from_file)
+    assert peak <= os.path.getsize(path) + held_bytes(parts) + MiB, peak / MiB
+
+
+def test_predict_memory_does_not_grow_with_the_row_count():
+    """predict forwards fixed chunks of rows, so one bound holds at any row
+    count: a 128-row chunk of the default network needs about 7.6 MiB."""
+    cfg = load_config(DEFAULT_INI)
+    net = init_network(NetworkSpec(32, 1, parse_layers(cfg.train.network), seed=1))
+    x = np.random.default_rng(0).random((3584, 32, 32, 1))
+    for n in (512, 3584):
+        _, peak = traced_peak(predict, net, x[:n])
+        assert peak <= 8 * MiB, (n, peak / MiB)

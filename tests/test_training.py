@@ -561,7 +561,7 @@ def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
 # ---------------------------------------------------------------------------
 # the forked pair: network 2 in a worker process
 
-PAIR_ROWS = 2 * 512 + 5  # the owners' cut of the training split meets a 5-row chunk
+PAIR_ROWS = 2 * nn._PREDICT_CHUNK + 5  # the owners' cut of the training split meets a 5-row chunk
 
 
 def run_pair(monkeypatch, ds, cfg, cpus):
@@ -629,14 +629,14 @@ def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
     # network 1's step comes before network 2's next forward
     ({("sgd_step", 1): 5, ("forward", 2): 6}, "sgd_step of network 1"),
     ({("forward", 2): 3, ("forward", 1): 4}, "forward of network 2"),
-    # at an epoch's end: 1,029 rows at B=128 are 9 iterations
+    # at an epoch's end: PAIR_ROWS = 261 rows at B=32 are 9 iterations
     ({("dataset_metrics", 2): 1, ("dataset_metrics", 1): 1}, "dataset_metrics of network 1"),
     ({("sgd_step", 2): 9, ("dataset_metrics", 1): 1}, "sgd_step of network 2"),
     ({("dataset_metrics", 2): 1, ("forward", 1): 10}, "dataset_metrics of network 2"),
 ])
 def test_forked_pair_raises_the_one_process_error(monkeypatch, faults, raised):
     ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
-    cfg = base_config(t_max=2, t_k=1, batch_size=128, swap_rate=0.2)
+    cfg = base_config(t_max=2, t_k=1, batch_size=32, swap_rate=0.2)
     seed_1 = training.derive_train_seeds(cfg.seed)[1]
     calls = {}
 

@@ -1,16 +1,20 @@
 """Print the sha256 of the files that canclab's reproducible runs write.
 
 Runs configs/smoke.ini once, each benchmark workload of
-perfbench/workloads.py at workload seeds 0 and 1, and last a sweep of
-configs/smoke.ini over algo=vanilla,canc, each into its own temporary
-directory, and prints one line per file written:
+perfbench/workloads.py at workload seeds 0 and 1, a sweep of
+configs/smoke.ini over algo=vanilla,canc, and last configs/smoke.ini from
+a file source (gen-data into data/, then a run from data/full.bin into
+run/), each into its own temporary directory, and prints one line per file
+written:
 
     <run> <file> <sha256>
 
 A training run writes epochs.csv, sp_iou.json and summary.json; the
 gen-data workload writes full/train/modelsel/eval.bin and manifest.json;
 the sweep writes sweep_summary.json and one training run's files per
-cell, named <cell>/<file>.
+cell, named <cell>/<file>. The file-source run reads its data by the
+relative path data/full.bin, so its summary.json echoes no temporary
+directory.
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
 comes from the environment (e.g. OPENBLAS_NUM_THREADS). Run from anywhere:
@@ -23,6 +27,8 @@ import importlib.util
 import os
 import sys
 import tempfile
+from contextlib import chdir
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +68,7 @@ def runs():
             cfg = parse_config_text(text, base_dir=str(ROOT / "configs"))
             yield f"{name}@seed{seed}", cfg, workload["kind"]
     yield "smoke_sweep", smoke, "sweep"
+    yield "smoke_file", smoke, "file"
 
 
 def main():
@@ -71,6 +78,11 @@ def main():
                 harness.run_experiment(cfg, out_dir=out)
             elif kind == "sweep":
                 harness.sweep(cfg, grid_text=SWEEP_GRID, out_dir=out)
+            elif kind == "file":
+                with chdir(out):
+                    harness.gen_data(cfg, out_dir="data")
+                    from_file = replace(cfg, data=replace(cfg.data, source="file", path="data/full.bin"))
+                    harness.run_experiment(from_file, out_dir="run")
             else:
                 harness.gen_data(cfg, out_dir=out)
             for fname, digest in digests(out):
