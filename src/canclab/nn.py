@@ -31,9 +31,9 @@ declared numerics choice: OpenBLAS switches to a small-matrix kernel when
 M*N*K <= 10^6, so a chunk of a few tail rows can round its logits in the
 last bits unlike the same rows inside a larger chunk, and a change of
 chunk size may move the logits (not, on the shipped configs, any label).
-Training never calls predict, so no network depends on it. Backprop stops at the first
-parametric layer's weights: no gradient with respect to the network input
-is formed.
+Training never calls predict, so no network depends on it. Backprop stops
+at the first parametric layer's weights: no gradient with respect to the
+network input is formed.
 
 A conv layer's forward gathers its im2col matrix with one np.take over a
 cached table of tap offsets (_taps). That matrix is, value for value and

@@ -186,7 +186,11 @@ def test_build_mask_dataset_matches_concatenated_oracle_bitwise(channels, m, n_s
               for i in range(n_scenes)]
     tau_label = 0.01 if tau == "0.01" else boundary_tau(scenes[0], m)
     expect = concatenated_mask_dataset(scenes, m, tau_label)
-    got = build_mask_dataset(iter(scenes), n_scenes, m, tau_label)
+    assert_same_masks(build_mask_dataset(iter(scenes), n_scenes, m, tau_label), expect)
+
+
+def assert_same_masks(got, expect):
+    assert got.clean_labels is None and expect.clean_labels is None
     for name in ("patches", "labels", "scene_ids", "rows", "cols"):
         a, b = getattr(got, name), getattr(expect, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
@@ -211,16 +215,6 @@ def test_build_mask_dataset_rejects_a_scene_count_or_size_it_was_not_given():
         build_mask_dataset([scene, scene], 1, 16, 0.01)
     with pytest.raises(DataError, match="unlike the first scene"):
         build_mask_dataset([scene, generate_scene(small_params(scene_size=128))], 2, 16, 0.01)
-
-
-FIELDS = ("patches", "labels", "scene_ids", "rows", "cols")
-
-
-def assert_same_masks(got, expect):
-    assert got.clean_labels is None and expect.clean_labels is None
-    for name in FIELDS:
-        a, b = getattr(got, name), getattr(expect, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -27,7 +27,6 @@ import importlib.util
 import os
 import sys
 import tempfile
-from contextlib import chdir
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,10 +78,14 @@ def main():
             elif kind == "sweep":
                 harness.sweep(cfg, grid_text=SWEEP_GRID, out_dir=out)
             elif kind == "file":
-                with chdir(out):
+                cwd = os.getcwd()
+                os.chdir(out)
+                try:
                     harness.gen_data(cfg, out_dir="data")
                     from_file = replace(cfg, data=replace(cfg.data, source="file", path="data/full.bin"))
                     harness.run_experiment(from_file, out_dir="run")
+                finally:
+                    os.chdir(cwd)
             else:
                 harness.gen_data(cfg, out_dir=out)
             for fname, digest in digests(out):
