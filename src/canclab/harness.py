@@ -79,8 +79,8 @@ def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
     into the training partition (and optionally the model-selection
     partition); with_full puts the whole clean dataset first. A synthetic
     source's scenes are drawn one at a time and their masks built straight
-    into the partitions (and the whole); a file is read as float32, split,
-    and widened one partition at a time."""
+    into the partitions (and the whole); a file is read as float32 and
+    split, and each partition is widened to float64 as it is taken."""
     d = cfg.data
     if d.source == "synthetic":
         sets = d.split_indices()
