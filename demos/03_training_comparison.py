@@ -36,7 +36,7 @@ for algo in ("vanilla", "coteaching", "canc"):
     last = res.records[-1]
     print(f"\n{algo}")
     print(f"  best modelsel accuracy {res.best_accuracy:.4f} at epoch {res.best_epoch}")
-    print(f"  final epoch: train acc {last.train_metrics.accuracy:.4f}, "
+    print(f"  final epoch: running train acc {last.train_metrics.accuracy:.4f}, "
           f"modelsel acc {last.modelsel_metrics.accuracy:.4f}")
     if algo == "canc":
         swaps = [r.n_swapped for r in res.records]

@@ -25,15 +25,15 @@ rows defaults to the whole batch. Unchosen rows enter the backward with a
 zero gradient, so a step runs no forward of its own and every GEMM of it
 has B rows, whatever the choice. predict(net, x) labels any number of
 rows, in forwards over fixed chunks of _PREDICT_CHUNK = 128 rows, and with
-twin=True also gives swap_logits(net)'s labels from the same logits. The
-chunk bounds a prediction's memory whatever the row count. Its size is a
-declared numerics choice: OpenBLAS switches to a small-matrix kernel when
-M*N*K <= 10^6, so a chunk of a few tail rows can round its logits in the
-last bits unlike the same rows inside a larger chunk, and a change of
-chunk size may move the logits (not, on the shipped configs, any label).
-Training never calls predict, so no network depends on it. Backprop stops
-at the first parametric layer's weights: no gradient with respect to the
-network input is formed.
+twin=True also gives swap_logits(net)'s labels from the same logits, by
+twin_labels. The chunk bounds a prediction's memory whatever the row
+count. Its size is a declared numerics choice: OpenBLAS switches to a
+small-matrix kernel when M*N*K <= 10^6, so a chunk of a few tail rows can
+round its logits in the last bits unlike the same rows inside a larger
+chunk, and a change of chunk size may move the logits (not, on the shipped
+configs, any label). Training never calls predict, so no network depends
+on it. Backprop stops at the first parametric layer's weights: no gradient
+with respect to the network input is formed.
 
 A conv layer's forward gathers its im2col matrix with one np.take over a
 cached table of tap offsets (_taps). That matrix is, value for value and
@@ -389,22 +389,26 @@ def per_sample_loss(logits: np.ndarray, y) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
+def twin_labels(logits: np.ndarray) -> np.ndarray:
+    """(2, B) labels of (B, 2) logits: each row's argmax, then that of its
+    reversed columns, swap_logits' label. Ties go to label 0 in both."""
+    return np.stack([np.argmax(logits, axis=1), np.argmax(logits[:, ::-1], axis=1)])
+
+
 def predict(net: Network, x, twin: bool = False) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
     label 0. No labels needed, unlike the loss entry points. Forwards run
     over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
     whatever B is and reruns are bitwise identical.
 
-    With twin, a (2, B) array: those labels, then swap_logits(net)'s, read
-    from the same logits as the argmax of their reversed columns. The
-    twin's forward differs only in the last dense layer's two output
-    columns, so its logits are these reversed and its labels the same."""
+    With twin, a (2, B) array: twin_labels of the same logits. The twin's
+    forward differs only in the last dense layer's two output columns, so
+    its logits are these reversed and its labels the same."""
     x = _check_input(net, x)
     out = np.empty((2, len(x)), dtype=np.int64)
     for start in range(0, len(x), _PREDICT_CHUNK):
         logits, _ = _forward(net, x[start : start + _PREDICT_CHUNK])
-        out[0, start : start + _PREDICT_CHUNK] = np.argmax(logits, axis=1)
-        out[1, start : start + _PREDICT_CHUNK] = np.argmax(logits[:, ::-1], axis=1)
+        out[:, start : start + _PREDICT_CHUNK] = twin_labels(logits)
     return out if twin else out[0]
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import (_PREDICT_CHUNK, Network, NetworkSpec, forward, init_network, parse_layers,
-                 per_sample_loss, predict, sgd_step, swap_logits)
+from .nn import (Network, NetworkSpec, forward, init_network, parse_layers, per_sample_loss,
+                 predict, sgd_step, swap_logits, twin_labels)
 
 ALGORITHMS = ("vanilla", "coteaching", "canc")
 
@@ -93,9 +93,10 @@ class EpochRecord:
     Metrics come from the epoch's candidate: whichever network scored
     further from chance on the model-selection split, max(a, 1 - a) for
     accuracy a (ties go to network 1), read through swap_logits when that
-    scores higher, in which case inverted is set. Train-split metrics
-    compare against the stored (noisy) labels, the only ones a trainer may
-    see.
+    scores higher, in which case inverted is set. Train-split metrics score
+    the candidate network's running predictions against the stored (noisy)
+    labels, the only ones a trainer may see: each row as its rank forward
+    saw it this epoch, before the batch's step, through the twin if inverted.
     """
 
     epoch: int
@@ -226,8 +227,9 @@ def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: f
     stepping the networks in owned in place; peer trades losses with the
     process that owns the others. Errors come in the one-process order:
     network 1's forward, network 2's, selection, network 2's step, network
-    1's step. Returns the IterationDiag; the sets that teach a network
-    this process does not own it chooses itself, from its own losses."""
+    1's step. Returns the IterationDiag and the rank logits of each network
+    in owned; the sets that teach a network this process does not own it
+    chooses itself, from its own losses."""
     ranked = {k: _rank(nets[k], x, y) for k in owned}
     losses = {k: loss for k, (_, loss) in ranked.items()}
     losses.update(peer.trade(losses))
@@ -240,7 +242,7 @@ def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: f
     for k in {0, 1}.difference(owned):
         sets[k] = _select_sets(losses[1 - k], r, s)
     peer.teaching = False
-    return IterationDiag(*sets[1], *sets[0])
+    return IterationDiag(*sets[1], *sets[0]), {k: fwd[0] for k, (fwd, _) in ranked.items()}
 
 
 def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
@@ -259,7 +261,7 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
     nets = [m1, m2]
-    diag = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
+    diag, _ = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
     return nets[0], nets[1], diag
 
 
@@ -305,11 +307,11 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     With two networks, at least two CPUs and the fork start method, a
     forked worker process owns network 2 and this one network 1. They run
     the same loop in lockstep: each iteration they trade their B losses,
-    and each epoch their networks and model-selection scores; each scores
-    its own chunks of the candidate on the training split. While they run,
-    each caps OpenBLAS at half the CPUs. Elsewhere one process owns both.
-    The results are the same bit for bit, errors included: a run raises the
-    error that one process would raise first, and no process outlives it.
+    and once each epoch their networks with their model-selection and
+    training-split scores. While they run, each caps OpenBLAS at half the
+    CPUs. Elsewhere one process owns both. The results are the same bit
+    for bit, errors included: a run raises the error that one process
+    would raise first, and no process outlives it.
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
@@ -445,21 +447,13 @@ def _blas_threads_at_most(n: int):
             calls[1](old)
 
 
-def _labels(net: Network, x) -> np.ndarray:
-    """predict(net, x), also for zero rows."""
-    return predict(net, x) if len(x) else np.empty(0, dtype=np.int64)
-
-
 def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -> TrainResult:
     """train()'s loop over the networks in owned, trading with peer for
     the others; every process of a run returns the same result."""
     n = len(train_ds)
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
-    # each network's owner scores these rows of the candidate on the
-    # training split; the cut falls between predict's chunks
-    cut = _PREDICT_CHUNK * (-(-n // _PREDICT_CHUNK) // 2) if len(nets) == 2 else n
-    train_parts = (slice(0, cut), slice(cut, n))
+    seen = {k: np.empty((2, n), dtype=np.int64) for k in owned}  # per-row twin_labels
 
     best_net, best_epoch, best_acc = nets[0], -1, -np.inf
     records = []
@@ -478,10 +472,15 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
             if len(nets) == 1:
-                nets[0] = sgd_step(nets[0], y, forward(nets[0], x), config.lr)
+                fwd = forward(nets[0], x)
+                seen[0][:, idx] = twin_labels(fwd[0])
+                nets[0] = sgd_step(nets[0], y, fwd, config.lr)
+                del fwd  # its caches would otherwise live through the next forward
                 n_clean += len(idx)
                 continue
-            diag = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
+            diag, logits = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
+            for k, z in logits.items():
+                seen[k][:, idx] = twin_labels(z)
             n_clean += len(diag.clean_for_m2) + len(diag.clean_for_m1)
             n_swapped += len(diag.swap_for_m2) + len(diag.swap_for_m1)
             swapped_local = np.concatenate([diag.swap_for_m2, diag.swap_for_m1])
@@ -496,20 +495,17 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
         # epoch bookkeeping: score both networks on the model-selection
         # split up to polarity (tie -> network 1), then read the pick
         # through its swapped logits if that scores higher
-        scored = {k: (nets[k], dataset_metrics(nets[k], modelsel_ds, twin=True)) for k in owned}
+        scored = {k: (nets[k], dataset_metrics(nets[k], modelsel_ds, twin=True),
+                      tuple(prf1(confusion(train_ds.labels, p)) for p in seen[k])) for k in owned}
         scored.update(peer.trade(scored))
-        nets[:] = [scored[k][0] for k in range(len(nets))]
-        modelsel_all = [scored[k][1] for k in range(len(nets))]
-        polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for m, _ in modelsel_all]
+        ordered = [scored[k] for k in range(len(nets))]
+        nets[:] = [net for net, _, _ in ordered]
+        polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for _, (m, _), _ in ordered]
         pick = 1 if len(nets) == 2 and polarity_free[1] > polarity_free[0] else 0
-        candidate, inverted = nets[pick], False
-        modelsel_metrics, twin_metrics = modelsel_all[pick]
-        if modelsel_metrics.accuracy < 0.5 and twin_metrics.accuracy > modelsel_metrics.accuracy:
-            candidate, modelsel_metrics, inverted = swap_logits(candidate), twin_metrics, True
-        labels = {k: _labels(candidate, train_ds.patches[train_parts[k]]) for k in owned}
-        labels.update(peer.trade(labels))
-        predicted = np.concatenate([labels[k] for k in range(len(nets))])
-        train_metrics = prf1(confusion(train_ds.labels, predicted))
+        candidate, (modelsel_metrics, twin_metrics), (train_metrics, twin_train) = ordered[pick]
+        inverted = modelsel_metrics.accuracy < min(0.5, twin_metrics.accuracy)
+        if inverted:
+            candidate, modelsel_metrics, train_metrics = swap_logits(candidate), twin_metrics, twin_train
         swap_fraction = n_swap_correct / n_swapped if (n_swapped and clean_ref is not None) else math.nan
         records.append(
             EpochRecord(

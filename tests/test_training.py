@@ -16,6 +16,7 @@ from canclab import (
     NumericError,
     TrainConfig,
     canc_iteration,
+    confusion,
     dataset_metrics,
     flip_labels,
     forward,
@@ -23,6 +24,7 @@ from canclab import (
     parse_layers,
     per_sample_loss,
     predict,
+    prf1,
     remember_rate,
     select_clean,
     select_swap,
@@ -527,6 +529,60 @@ def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
         assert np.mean(predict(net, modelsel.patches) == modelsel.labels) < 0.5
 
 
+def inverted_task(n):
+    """Training labels all inverted against a clean model-selection split,
+    so some epochs pick the swapped-logit twin."""
+    clean = toy_dataset(n=n, seed=12)
+    return replace(clean, labels=1 - clean.labels), toy_dataset(n=64, seed=13)
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("algo", ["vanilla", "canc"])
+def test_train_row_replays_the_rank_forwards(monkeypatch, algo, inverted):
+    """A record's train metrics score the picked network's running fit:
+    each row labelled by that network's own rank forward in the epoch,
+    before its batch's step, through the swapped logits on inverted
+    epochs. Replayed by hand from the recorded logits and the shuffle."""
+    if inverted:
+        train_ds, modelsel = inverted_task(96)
+    else:
+        train_ds = modelsel = toy_dataset(n=96, seed=2, noisy=True)
+    cfg = base_config(algo=algo, t_max=6, lr=0.5)
+    shuffle_seed, seed_1 = training.derive_train_seeds(cfg.seed)[:2]
+    logits, accuracy = {1: [], 2: []}, {1: [], 2: []}
+    real_forward, real_metrics = training.forward, training.dataset_metrics
+
+    def recording_forward(net, x):
+        fwd = real_forward(net, x)
+        logits[1 if net.spec.seed == seed_1 else 2].append(fwd[0])
+        return fwd
+
+    def recording_metrics(net, ds, twin=False):
+        out = real_metrics(net, ds, twin)
+        accuracy[1 if net.spec.seed == seed_1 else 2].append(out[0].accuracy)
+        return out
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "dataset_metrics", recording_metrics)
+    result = run_pair(monkeypatch, train_ds, cfg, 1, modelsel)
+    assert [rec.inverted for rec in result.records] == [inverted] * cfg.t_max
+    n, b = len(train_ds), cfg.batch_size
+    per_epoch = -(-n // b)
+    rng = np.random.default_rng(shuffle_seed)
+    for rec in result.records:
+        perm = rng.permutation(n)
+        worth = {k: max(a[rec.epoch], 1 - a[rec.epoch]) for k, a in accuracy.items() if a}
+        pick = 2 if worth.get(2, -1) > worth[1] else 1
+        labels = [None] * n
+        batches = logits[pick][per_epoch * rec.epoch : per_epoch * (rec.epoch + 1)]
+        for start, z in zip(range(0, n, b), batches):
+            for row, (z0, z1) in zip(perm[start : start + b], z):
+                if rec.inverted:
+                    z0, z1 = z1, z0
+                labels[row] = 1 if z1 > z0 else 0
+        assert repr(rec.train_metrics) == repr(prf1(confusion(train_ds.labels, labels)))
+
+
 @pytest.mark.parametrize("b", [1, 7, 64, 256, 512])
 def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
     """Model selection reads swap_logits(net)'s labels from net's own
@@ -561,17 +617,18 @@ def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
 # ---------------------------------------------------------------------------
 # the forked pair: network 2 in a worker process
 
-PAIR_ROWS = 2 * nn._PREDICT_CHUNK + 5  # the owners' cut of the training split meets a 5-row chunk
+PAIR_ROWS = 261  # 9 iterations an epoch at B=32, which the fault table's epoch-end cases count
 
 
-def run_pair(monkeypatch, ds, cfg, cpus):
+def run_pair(monkeypatch, ds, cfg, cpus, modelsel=None):
     """train()'s result, or the NumericError it raised, with cpus CPUs in
     the affinity mask: 2 forks network 2's owner, 1 keeps both networks
-    in this process. Either way no process outlives the call."""
+    in this process. Either way no process outlives the call. modelsel
+    defaults to ds."""
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         try:
-            outcome = train(ds, ds, cfg)
+            outcome = train(ds, ds if modelsel is None else modelsel, cfg)
         except NumericError as exc:
             outcome = exc
     assert multiprocessing.active_children() == []
@@ -618,6 +675,27 @@ def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
     assert set(forked_seen) == {(os.getpid(), seed_1, threads[0])}
     assert set(seen[len(forked_seen):]) == {(os.getpid(), seed, threads[1]) for seed in (seed_1, seed_2)}
     assert restored == threads[1]
+
+
+def test_forked_pair_trades_once_per_iteration_and_once_per_epoch(monkeypatch):
+    """The parent trades losses each iteration and, at each epoch's end,
+    its network with both its scores in one trade; on epochs that pick the
+    twin too, the pair's records are the one-process records."""
+    train_ds, modelsel = inverted_task(PAIR_ROWS)
+    cfg = base_config(t_max=3, batch_size=32, lr=0.5)
+    trades, real_trade = [], training._Peer.trade
+
+    def trade(peer, payload):
+        trades.append(sorted(payload))  # the worker's trades land in its own copy
+        return real_trade(peer, payload)
+
+    monkeypatch.setattr(training._Peer, "trade", trade)
+    forked = run_pair(monkeypatch, train_ds, cfg, 2, modelsel)
+    one = run_pair(monkeypatch, train_ds, cfg, 1, modelsel)
+    assert len(trades) == cfg.t_max * (9 + 1)
+    assert repr(forked.records) == repr(one.records)
+    assert any(rec.inverted for rec in one.records)
+    assert any(rec.n_swapped for rec in one.records)
 
 
 @pytest.mark.parametrize("faults, raised", [

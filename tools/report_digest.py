@@ -15,6 +15,18 @@ the sweep writes sweep_summary.json and one training run's files per
 cell, named <cell>/<file>. The file-source run reads its data by the
 relative path data/full.bin, so its summary.json echoes no temporary
 directory.
+
+After all of those it prints, for each training run, two more lines:
+
+    <run> <dir/>epochs.csv:no-train <sha256>
+    <run> <dir/>summary.json:no-train <sha256>
+
+the digest of epochs.csv without its train rows and of summary.json
+without final_metrics.train (re-serialized as the run writes it). Two
+trees that differ only in the training split's scoring print these lines
+the same. They come last, so a tree whose script lacks them still lines up
+line for line with the rest.
+
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
 comes from the environment (e.g. OPENBLAS_NUM_THREADS). Run from anywhere:
@@ -24,6 +36,7 @@ comes from the environment (e.g. OPENBLAS_NUM_THREADS). Run from anywhere:
 
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 import tempfile
@@ -56,6 +69,20 @@ def digests(out):
             for p in files]
 
 
+def without_train(path):
+    """The text of a run's epochs.csv without its train rows, or of its
+    summary.json without final_metrics.train; None for any other file."""
+    if path.name == "epochs.csv":
+        rows = path.read_text().splitlines()
+        col = rows[0].split(",").index("split")
+        return "\n".join(row for row in rows if row.split(",")[col] != "train") + "\n"
+    if path.name == "summary.json":
+        summary = json.loads(path.read_text())
+        del summary["final_metrics"]["train"]
+        return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return None
+
+
 def runs():
     """(run name, config, kind) of every run to digest."""
     smoke = load_config(ROOT / "configs" / "smoke.ini")
@@ -71,6 +98,7 @@ def runs():
 
 
 def main():
+    last = []
     for name, cfg, kind in runs():
         with tempfile.TemporaryDirectory() as out:
             if kind == "train":
@@ -90,6 +118,12 @@ def main():
                 harness.gen_data(cfg, out_dir=out)
             for fname, digest in digests(out):
                 print(f"{name} {fname} {digest}", flush=True)
+                kept = without_train(Path(out) / fname)
+                if kept is not None:
+                    digest = hashlib.sha256(kept.encode()).hexdigest()
+                    last.append(f"{name} {fname}:no-train {digest}")
+    for line in last:
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
