@@ -509,13 +509,18 @@ def test_train_best_snapshot_matches_records():
     assert result.records[result.best_epoch].modelsel_metrics.accuracy == best_from_records
 
 
+def inverted_task(n):
+    """Training labels all inverted against a clean model-selection split,
+    so some epochs pick the swapped-logit twin."""
+    clean = toy_dataset(n=n, seed=12)
+    return replace(clean, labels=1 - clean.labels), toy_dataset(n=64, seed=13)
+
+
 @pytest.mark.parametrize("algo", ["vanilla", "coteaching", "canc"])
 def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
     # every training label inverted: the networks learn 1 - truth, and only
     # the clean model-selection split can tell
-    clean = toy_dataset(n=96, seed=12)
-    flipped = replace(clean, labels=1 - clean.labels)
-    modelsel = toy_dataset(n=64, seed=13)
+    flipped, modelsel = inverted_task(96)
     cfg = base_config(algo=algo, t_max=6, lr=0.5)
     result = train(flipped, modelsel, cfg)
     best = result.records[result.best_epoch]
@@ -527,13 +532,6 @@ def test_train_selects_up_to_polarity_on_clean_modelsel(algo):
     # predict the inverted concept
     for net in result.final_networks:
         assert np.mean(predict(net, modelsel.patches) == modelsel.labels) < 0.5
-
-
-def inverted_task(n):
-    """Training labels all inverted against a clean model-selection split,
-    so some epochs pick the swapped-logit twin."""
-    clean = toy_dataset(n=n, seed=12)
-    return replace(clean, labels=1 - clean.labels), toy_dataset(n=64, seed=13)
 
 
 @pytest.mark.parametrize("inverted", [False, True])

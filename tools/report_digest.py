@@ -98,7 +98,7 @@ def runs():
 
 
 def main():
-    last = []
+    no_train = []
     for name, cfg, kind in runs():
         with tempfile.TemporaryDirectory() as out:
             if kind == "train":
@@ -121,8 +121,8 @@ def main():
                 kept = without_train(Path(out) / fname)
                 if kept is not None:
                     digest = hashlib.sha256(kept.encode()).hexdigest()
-                    last.append(f"{name} {fname}:no-train {digest}")
-    for line in last:
+                    no_train.append(f"{name} {fname}:no-train {digest}")
+    for line in no_train:
         print(line, flush=True)
 
 
