@@ -1,18 +1,19 @@
 """Noise-robust training loops: vanilla, co-teaching, and co-teaching with
 active label swapping (CANC).
 
-The two-network algorithms cross-teach: each network ranks the mini-batch
-by its own per-sample loss on the labels as given, keeps the low-loss
-fraction R as presumed-clean, additionally takes the top-loss fraction S
-and flips those binary labels, and hands the union to the peer for one SGD
-step. Co-teaching is CANC at S=0, so both run the same step,
-canc_iteration(m1, m2, x, y, r, s, lr), built from two halves per network:
-_rank (its forward and per-sample losses) and _teach (the sets chosen from
-its peer's losses, then its SGD step). Selections always use pre-update
-parameters, so the two updates per iteration are order-independent and the
-whole loop is bitwise reproducible from its seeds. The halves meet only
-through the peer's B losses, which is what lets train() run each network
-in its own process.
+All three cross-teach: each network ranks the mini-batch by its own
+per-sample loss on the labels as given, and network k learns from the
+losses of network (k + 1) % len(nets), its peer in a pair or itself when
+alone. Those losses pick the low-loss fraction R as presumed-clean and the
+top-loss fraction S, whose binary labels flip, for one SGD step on their
+union. Vanilla is one network at R = 1, S = 0, co-teaching a pair at S = 0
+and CANC a pair at the configured S; canc_iteration is the pair's step.
+Each network's step has two halves: _rank (its forward and per-sample
+losses) and _teach (the sets chosen from its teacher's losses, then its SGD
+step). Selections always use pre-update parameters, so a pair's two updates
+are order-independent and the whole loop is bitwise reproducible from its
+seeds. A pair's halves meet only through the B losses, which is what lets
+train() run each network in its own process.
 
 Each epoch shuffles the training set once and cuts the permutation into
 batch_size chunks, the last one possibly shorter, so every row is fed
@@ -203,12 +204,12 @@ def _rank(net: Network, x, y):
     return fwd, per_sample_loss(fwd[0], y)
 
 
-def _teach(net: Network, fwd, y, peer_losses, r: float, s: float, lr: float):
+def _teach(net: Network, fwd, y, teacher_losses, r: float, s: float, lr: float):
     """A network's teach half: the clean fraction r and the swap fraction s
-    chosen from its peer's losses, then one SGD step on their union over its
-    own rank forward fwd, swapped rows against their flipped labels.
+    chosen from its teacher's losses, then one SGD step on their union over
+    its own rank forward fwd, swapped rows against their flipped labels.
     Returns (new network, clean, swap)."""
-    clean, swap = _select_sets(peer_losses, r, s)
+    clean, swap = _select_sets(teacher_losses, r, s)
     new = sgd_step(net, flip_labels(y, swap), fwd, lr, np.concatenate([clean, swap]))
     return new, clean, swap
 
@@ -223,26 +224,27 @@ class _Alone:
 
 
 def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: float):
-    """One cross-teaching iteration of the pair nets on the batch (x, y),
-    stepping the networks in owned in place; peer trades losses with the
-    process that owns the others. Errors come in the one-process order:
-    network 1's forward, network 2's, selection, network 2's step, network
-    1's step. Returns the IterationDiag and the rank logits of each network
-    in owned; the sets that teach a network this process does not own it
-    chooses itself, from its own losses."""
+    """One cross-teaching iteration of nets on the batch (x, y), stepping
+    the networks in owned in place; network k is taught by the losses of
+    network (k + 1) % len(nets). peer trades losses with the process that
+    owns the others. Errors come in the one-process order: the forwards in
+    network order, selection, then the steps in reverse order. Returns each
+    network's (clean, swap) sets by k, which this process chooses itself
+    for a network it does not own, and the rank logits of each owned one."""
     ranked = {k: _rank(nets[k], x, y) for k in owned}
     losses = {k: loss for k, (_, loss) in ranked.items()}
     losses.update(peer.trade(losses))
     peer.teaching = True
-    for k in (0, 1):  # selection's own check, made before either step
-        _check_losses(losses[k])
+    teacher = [losses[(k + 1) % len(nets)] for k in range(len(nets))]
+    for v in teacher:  # selection's own check, made before any step
+        _check_losses(v)
     sets = {}
     for k in sorted(owned, reverse=True):
-        nets[k], *sets[k] = _teach(nets[k], ranked[k][0], y, losses[1 - k], r, s, lr)
-    for k in {0, 1}.difference(owned):
-        sets[k] = _select_sets(losses[1 - k], r, s)
+        nets[k], *sets[k] = _teach(nets[k], ranked[k][0], y, teacher[k], r, s, lr)
+    for k in set(range(len(nets))).difference(owned):
+        sets[k] = _select_sets(teacher[k], r, s)
     peer.teaching = False
-    return IterationDiag(*sets[1], *sets[0]), {k: fwd[0] for k, (fwd, _) in ranked.items()}
+    return sets, {k: fwd[0] for k, (fwd, _) in ranked.items()}
 
 
 def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
@@ -261,8 +263,8 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
     nets = [m1, m2]
-    diag, _ = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
-    return nets[0], nets[1], diag
+    sets, _ = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
+    return nets[0], nets[1], IterationDiag(*sets[1], *sets[0])
 
 
 def dataset_metrics(net: Network, ds: MaskDataset, twin: bool = False):
@@ -288,9 +290,10 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     channel count, with the default init; a layer list that does not fit
     them is a ConfigError.
 
-    vanilla trains one network on every label as given. coteaching and canc
-    train two networks that cross-teach as canc_iteration does; coteaching
-    runs it at S=0, canc at the configured swap rate. With persist_swaps,
+    vanilla trains one network that teaches itself at R = 1, S = 0: every
+    row as labelled. coteaching and canc train two networks that cross-teach
+    as canc_iteration does, coteaching at S = 0 and canc at the configured
+    swap rate. With persist_swaps,
     flips write back to a private working copy of the labels (the input
     dataset is untouched).
 
@@ -458,7 +461,8 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
     best_net, best_epoch, best_acc = nets[0], -1, -np.inf
     records = []
     for epoch in range(config.t_max):
-        r = remember_rate(epoch, config.t_k, config.tau_f)
+        # the epoch's (R, S): vanilla (1, 0), coteaching (R(T), 0), canc (R(T), S_eff)
+        r = 1.0 if config.algo == "vanilla" else remember_rate(epoch, config.t_k, config.tau_f)
         if config.algo != "canc":
             s_eff = 0.0
         elif config.ablation_s_equals_1_minus_r:
@@ -471,19 +475,12 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
-            if len(nets) == 1:
-                fwd = forward(nets[0], x)
-                seen[0][:, idx] = twin_labels(fwd[0])
-                nets[0] = sgd_step(nets[0], y, fwd, config.lr)
-                del fwd  # its caches would otherwise live through the next forward
-                n_clean += len(idx)
-                continue
-            diag, logits = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
+            sets, logits = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
             for k, z in logits.items():
                 seen[k][:, idx] = twin_labels(z)
-            n_clean += len(diag.clean_for_m2) + len(diag.clean_for_m1)
-            n_swapped += len(diag.swap_for_m2) + len(diag.swap_for_m1)
-            swapped_local = np.concatenate([diag.swap_for_m2, diag.swap_for_m1])
+            n_clean += sum(len(clean) for clean, _ in sets.values())
+            swapped_local = np.concatenate([swap for _, swap in sets.values()])
+            n_swapped += swapped_local.size
             if swapped_local.size:
                 flipped = 1 - y[swapped_local]
                 if clean_ref is not None:
@@ -501,7 +498,7 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
         ordered = [scored[k] for k in range(len(nets))]
         nets[:] = [net for net, _, _ in ordered]
         polarity_free = [max(m.accuracy, 1.0 - m.accuracy) for _, (m, _), _ in ordered]
-        pick = 1 if len(nets) == 2 and polarity_free[1] > polarity_free[0] else 0
+        pick = polarity_free.index(max(polarity_free))
         candidate, (modelsel_metrics, twin_metrics), (train_metrics, twin_train) = ordered[pick]
         inverted = modelsel_metrics.accuracy < min(0.5, twin_metrics.accuracy)
         if inverted:

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from canclab import ConfigError, MaskDataset, select_clean, sgd_step
+from canclab import (ConfigError, MaskDataset, NetworkSpec, forward, init_network,
+                     parse_layers, select_clean, sgd_step)
 from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
+from canclab.training import derive_train_seeds
 
 
 def zeroed(net):
@@ -43,6 +45,30 @@ def coteaching_teach(net, fwd, y, peer_losses, r, s, lr):
     assert s == 0.0, "the co-teaching oracle has no swap step"
     clean = select_clean(peer_losses, r)
     return sgd_step(net, y, fwd, lr, clean), clean, np.empty(0, dtype=np.int64)
+
+
+def vanilla_replay(train_ds, config):
+    """The network after each epoch of a vanilla train() run: one network
+    from the first init seed, one shuffle of the rows per epoch, and on each
+    batch a plain step over all of its rows as labelled, with no ranking
+    and no selection.
+
+    Written separately from canclab.training's loop, which runs vanilla as
+    a network that teaches itself at R = 1, S = 0.
+    """
+    shuffle_seed, init_seed, _ = derive_train_seeds(config.seed)
+    rng = np.random.default_rng(shuffle_seed)
+    net = init_network(NetworkSpec(train_ds.m, train_ds.channels, parse_layers(config.network),
+                                   seed=init_seed))
+    after = []
+    for _ in range(config.t_max):
+        perm = rng.permutation(len(train_ds))
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            x, y = train_ds.patches[idx], train_ds.labels[idx]
+            net = sgd_step(net, y, forward(net, x), config.lr)
+        after.append(net)
+    return after
 
 
 def gather_and_forward_step(net, x, y, clean, swap, lr):

@@ -101,3 +101,17 @@ def test_network_hashes_flag_each_differing_or_missing_network(ab, capsys):
     assert out.count("DIFF") == 2
     assert f"DIFF  base   {base[4]}\n        change {change[4]}" in out
     assert f"DIFF  base   {base[-1]}\n        change (none)" in out
+
+
+def test_trade_paths_swaps_the_trees_directories(ab, tmp_path):
+    trees = {side: tmp_path / side for side in ("base", "change")}
+    for side, tree in trees.items():
+        tree.mkdir()
+        (tree / "SIDE").write_text(side)
+    ab.trade_paths(trees)
+    assert trees == {"base": tmp_path / "change", "change": tmp_path / "base"}
+    assert {side: (tree / "SIDE").read_text() for side, tree in trees.items()} == {
+        "base": "base", "change": "change"}
+    ab.trade_paths(trees)
+    assert trees == {"base": tmp_path / "base", "change": tmp_path / "change"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "change"]

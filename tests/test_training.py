@@ -33,7 +33,7 @@ from canclab import (
     train,
 )
 from canclab import nn, training
-from oracles import coteaching_teach, gather_and_forward_step, zeroed
+from oracles import coteaching_teach, gather_and_forward_step, vanilla_replay, zeroed
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -402,10 +402,21 @@ def test_train_feeds_every_row_once_per_epoch(monkeypatch):
         fed.append(x)
         return real_forward(net, x)
 
+    # vanilla's one network teaches itself every row: R = 1 and S = 0
+    taught = []
+    real_teach = training._teach
+
+    def recording_teach(net, fwd, y, teacher_losses, r, s, lr):
+        taught.append((r, s))
+        return real_teach(net, fwd, y, teacher_losses, r, s, lr)
+
     monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "_teach", recording_teach)
     result = train(ds, ds, base_config(algo="vanilla", t_max=3, batch_size=16))
     assert [len(x) for x in fed] == [16, 16, 16, 2] * 3
+    assert taught == [(1.0, 0.0)] * 12
     assert [rec.n_clean for rec in result.records] == [50, 50, 50]
+    assert all(rec.remember_rate == 1.0 and rec.swap_rate == 0.0 for rec in result.records)
     row_of = {ds.patches[i].tobytes(): i for i in range(len(ds))}
     assert len(row_of) == 50  # every patch tells its row
     for epoch in range(3):
@@ -441,6 +452,18 @@ def test_train_canc_s_zero_bitwise_equals_coteaching(monkeypatch):
     assert repr(a.records) == repr(b.records)
     for na, nb in zip(a.final_networks, b.final_networks):
         assert params_equal(na, nb)
+
+
+def test_train_vanilla_bitwise_equals_plain_sgd_replay():
+    # 50 rows at B = 16 end each epoch on a 2-row batch
+    ds = toy_dataset(n=50, seed=4, noisy=True)
+    cfg = base_config(algo="vanilla", t_max=6)
+    result = train(ds, ds, cfg)
+    after = vanilla_replay(ds, cfg)
+    assert len(result.final_networks) == 1 and bytes_equal(result.final_networks[0], after[-1])
+    # this run's best epoch comes before the last, and its candidate is the twin
+    assert result.best_epoch < cfg.t_max - 1 and result.records[result.best_epoch].inverted
+    assert bytes_equal(result.best_network, swap_logits(after[result.best_epoch]))
 
 
 def test_train_does_not_mutate_dataset_labels():

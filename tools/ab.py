@@ -14,9 +14,12 @@ it does two things:
   (four full configs/default.ini runs per tree, minutes each).
 * For each workload it runs N pairs of `perfbench/run.py --workload W
   --seed K --seconds S --trace T`, one run per tree, alternating which tree
-  goes first, and reads the JSON line each run prints last. For each
-  metric it prints both sides' medians and quartiles over the pairs and
-  how many pairs the change won, in the direction BENCHMARK.json gives.
+  goes first, and reads the JSON line each run prints last. Between pairs
+  the two trees trade directories by renaming, so each side runs half its
+  pairs from each path: the path alone can move peak_rss_mb by about 1 MB
+  with every file byte-identical. For each metric it prints both
+  sides' medians and quartiles over the pairs and how many pairs the
+  change won, in the direction BENCHMARK.json gives.
 
 Every run gets OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1:
 compiling bytecode moves peak RSS by a few MB. A run fails when it exits
@@ -77,6 +80,16 @@ def archive(rev: str, dest: Path) -> Path:
                           capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
     return dest
+
+
+def trade_paths(trees: dict):
+    """Rename the base and change trees to each other's directories."""
+    base, change = trees["base"], trees["change"]
+    hold = base.with_name(base.name + ".trading")
+    base.rename(hold)
+    change.rename(base)
+    hold.rename(change)
+    trees["base"], trees["change"] = change, base
 
 
 def digest_lines(tree: Path) -> list:
@@ -245,7 +258,9 @@ def main(argv=None) -> int:
                 shown = {side: got[side].get("error") or {n: m["value"] for n, m in
                                                           got[side]["metrics"].items()}
                          for side in ("base", "change")}
-                print(f"pair {i} ({order[0]} first): {json.dumps(shown)}", flush=True)
+                print(f"pair {i} ({order[0]} first, base in {trees['base'].name}/): "
+                      f"{json.dumps(shown)}", flush=True)
+                trade_paths(trees)
             print_rows(summarize(pairs, better))
     return 1 if differ else 0
 
