@@ -17,9 +17,9 @@ it does two things:
   goes first, and reads the JSON line each run prints last. Between pairs
   the two trees trade directories by renaming, so each side runs half its
   pairs from each path: the path alone can move peak_rss_mb by about 1 MB
-  with every file byte-identical. For each metric it prints both
-  sides' medians and quartiles over the pairs and how many pairs the
-  change won, in the direction BENCHMARK.json gives.
+  with every file byte-identical. For each metric it prints both sides'
+  medians and quartiles over the pairs and how many pairs the change won,
+  in the direction BENCHMARK.json gives.
 
 Every run gets OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1:
 compiling bytecode moves peak RSS by a few MB. A run fails when it exits
