@@ -12,8 +12,13 @@ stand in for real satellite/label imagery: axis-aligned rectangular
 buildings on a darker background, plus pixel noise. DataConfig, the [data]
 config section, holds the generator's knobs and the mask size, labeling
 threshold, split and seed, and gives a synthetic source's partition index
-sets. A file source is split by split_dataset instead, whose take widens
-only the partitions' rows of the file's float32 patches to float64.
+sets. A file source is split by split_dataset instead.
+
+Masks are held in float32, the precision a dataset file stores: the build
+rounds each scene's tiles once, read_dataset returns the file's patches as
+they are, and write_dataset writes them back unchanged, so a synthetic run
+and a run from its gen-data full.bin see the same bits. The network widens
+its input to float64 batch by batch (nn.forward, nn.predict).
 """
 
 from __future__ import annotations
@@ -184,18 +189,17 @@ def _label_patches(gt_patches: np.ndarray, tau_label: float) -> np.ndarray:
     return (flat.sum(axis=1) / flat.shape[1] >= tau_label).astype(np.int64)
 
 
-_TAKE_CHUNK = 128  # rows MaskDataset.take gathers at a time
-
-
 @dataclass(eq=False)
 class MaskDataset:
     """A flat collection of labeled masks tagged with their scene/grid origin.
 
     labels are what a trainer sees; clean_labels (when present) keep the
-    pre-noise truth for diagnostics only.
+    pre-noise truth for diagnostics only. patches are float32 as the build
+    and read_dataset give them; the network reads any float array, widened
+    to float64.
     """
 
-    patches: np.ndarray  # (N, m, m, C) float64, or a file's float32 before its split
+    patches: np.ndarray  # (N, m, m, C) float32
     labels: np.ndarray  # (N,) int64 in {0,1}
     scene_ids: np.ndarray  # (N,) int64
     rows: np.ndarray  # (N,) int64
@@ -219,17 +223,11 @@ class MaskDataset:
         return self.patches.shape[3]
 
     def take(self, idx) -> "MaskDataset":
-        """The masks at rows idx, with float64 patches. They are gathered
-        _TAKE_CHUNK rows at a time, so the float32 patches of a file read
-        with widen=False are widened one chunk at a time and no float32
-        copy of the whole selection is ever held."""
+        """The masks at rows idx, copied at the patches' own precision."""
         idx = np.asarray(idx, dtype=np.int64)
-        patches = np.empty((len(idx),) + self.patches.shape[1:])
-        for start in range(0, len(idx), _TAKE_CHUNK):
-            patches[start : start + _TAKE_CHUNK] = self.patches[idx[start : start + _TAKE_CHUNK]]
         clean = None if self.clean_labels is None else self.clean_labels[idx]
         return MaskDataset(
-            patches=patches,
+            patches=self.patches[idx],
             labels=self.labels[idx],
             scene_ids=self.scene_ids[idx],
             rows=self.rows[idx],
@@ -249,7 +247,8 @@ def build_mask_dataset(scenes, n_scenes: int, m: int, tau_label: float, index_se
     """Tile and label the n_scenes equal-sized scenes of the iterable scenes,
     one at a time, into the mask dataset they give: scene-major, then
     row-major within the scene, each mask tagged with its scene id and grid
-    position.
+    position. Patches are rounded to float32 once per scene, in the one
+    copy made of its tiles.
 
     With index_sets, a sequence of ascending row-index arrays into that
     dataset, it returns one MaskDataset per set, each equal to
@@ -275,7 +274,8 @@ def build_mask_dataset(scenes, n_scenes: int, m: int, tau_label: float, index_se
         if image.shape != first_shape:
             raise DataError(f"scene {scene.scene_id} is {scene.image.shape}, unlike the first scene")
         labels = _label_patches(gt.reshape(per, m * m), tau_label)
-        tiles = image.reshape(per, *first_shape[2:])  # a copy, as image is a transposed view
+        # image is a transposed view, so this is the one copy of the tiles
+        tiles = image.astype(np.float32, order="C").reshape(per, *first_shape[2:])
         for idx, bounds, patches, out_labels, sids in outs:
             lo, hi = bounds[k], bounds[k + 1]
             local = idx[lo:hi] - k * per
@@ -305,7 +305,7 @@ def _scatter_target(idx, n_scenes: int, per: int, mask_shape):
         raise ValueError(f"an index set must be ascending row indices in [0, {n_rows})")
     bounds = np.searchsorted(idx, np.arange(n_scenes + 1) * per)
     n = len(idx)
-    return (idx, bounds, np.empty((n,) + mask_shape),
+    return (idx, bounds, np.empty((n,) + mask_shape, dtype=np.float32),
             np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
@@ -375,6 +375,7 @@ def _record_dtype(m: int, c: int) -> np.dtype:
 
 
 def write_dataset(path, ds: MaskDataset):
+    """Write ds as a version 3 file; float32 patches are stored as held."""
     m, c, n = ds.m, ds.channels, len(ds)
     records = np.empty(n, dtype=_record_dtype(m, c))
     records["label"] = ds.labels
@@ -388,16 +389,15 @@ def write_dataset(path, ds: MaskDataset):
         records.tofile(fh)
 
 
-def read_dataset(path, widen: bool = True) -> MaskDataset:
+def read_dataset(path) -> MaskDataset:
     """Read back a file that write_dataset wrote (version 3), with each
     mask's scene id and grid position. Any other version, a malformed
     header, a file shorter or longer than its header's record count, a
     noisy label outside {0, 1}, a clean label outside {0, 1, NO_LABEL}, or
     NO_LABEL on some records' clean labels but not all is a DataError.
 
-    The patches are widened to float64, or with widen=False left as a
-    float32 view into the records, which MaskDataset.take widens only for
-    the rows it takes: a file source is split before it is widened."""
+    The patches are the file's float32, a view into the records, which
+    MaskDataset.take copies only for the rows it takes."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -430,7 +430,7 @@ def read_dataset(path, widen: bool = True) -> MaskDataset:
     if no_clean.any() and not no_clean.all():
         raise DataError(f"{path}: some records have a clean label and some have {NO_LABEL}")
     return MaskDataset(
-        patches=records["patch"].astype(np.float64) if widen else records["patch"],
+        patches=records["patch"],
         labels=records["label"].astype(np.int64),
         scene_ids=records["scene"].astype(np.int64),
         rows=records["row"].astype(np.int64),

@@ -79,8 +79,9 @@ def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
     into the training partition (and optionally the model-selection
     partition); with_full puts the whole clean dataset first. A synthetic
     source's scenes are drawn one at a time and their masks built straight
-    into the partitions (and the whole); a file is read as float32 and
-    split, and each partition is widened to float64 as it is taken."""
+    into the partitions (and the whole), rounded to float32; a file's
+    float32 masks are split as read. Either way the partitions hold the
+    same float32 bits, which the network widens batch by batch."""
     d = cfg.data
     if d.source == "synthetic":
         sets = d.split_indices()
@@ -92,7 +93,7 @@ def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
             scenes, d.n_scenes, d.m, d.tau_label, sets
         )
     else:
-        ds = read_dataset(d.path, widen=False)
+        ds = read_dataset(d.path)
         if ds.clean_labels is not None:
             raise ConfigError(
                 f"{d.path} already has noisy labels; a file source must hold the "

@@ -13,7 +13,9 @@ Supported layers: valid (unpadded) strided 2D convolution, dense, and
 leaky ReLU. No layer names its input width: layer_plan derives every
 layer's input shape and weight shape from the spec's input side and
 channel count. Data layout is channels-last: (B, H, W, C). Everything is
-float64.
+float64; an input of another precision, such as the float32 masks a
+dataset holds, is widened as the network reads it, one batch or one
+predict chunk at a time.
 
 Entry points: forward(net, x) runs one checked forward over a batch x
 of shape (B,H,W,C) in [0,1] and returns (logits, caches).
@@ -252,9 +254,9 @@ def init_network(spec: NetworkSpec) -> Network:
 
 
 def _check_input(net: Network, x) -> np.ndarray:
-    """x as float64 (B,H,W,C) with B >= 1 matching net's input; raises
-    ValueError otherwise."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as an array (B,H,W,C) with B >= 1 matching net's input, at its
+    own precision; raises ValueError otherwise."""
+    x = np.asarray(x)
     expect = (net.spec.input_size, net.spec.input_size, net.spec.channels)
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ValueError(f"input shape {x.shape} does not match spec input {expect}")
@@ -369,7 +371,7 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
 def forward(net: Network, x):
     """(logits, caches) of net on the batch x, checked: the forward that
     per_sample_loss ranks by and that sgd_step backprops."""
-    return _forward(net, _check_input(net, x))
+    return _forward(net, _check_input(net, x).astype(np.float64, copy=False))
 
 
 def per_sample_loss(logits: np.ndarray, y) -> np.ndarray:
@@ -399,7 +401,8 @@ def predict(net: Network, x, twin: bool = False) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
     label 0. No labels needed, unlike the loss entry points. Forwards run
     over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
-    whatever B is and reruns are bitwise identical.
+    whatever B is and reruns are bitwise identical. Each chunk is widened
+    to float64 as it is forwarded, so a float32 x is never held widened.
 
     With twin, a (2, B) array: twin_labels of the same logits. The twin's
     forward differs only in the last dense layer's two output columns, so
@@ -407,7 +410,8 @@ def predict(net: Network, x, twin: bool = False) -> np.ndarray:
     x = _check_input(net, x)
     out = np.empty((2, len(x)), dtype=np.int64)
     for start in range(0, len(x), _PREDICT_CHUNK):
-        logits, _ = _forward(net, x[start : start + _PREDICT_CHUNK])
+        # no reference to the widened chunk or the caches outlives the forward
+        logits = _forward(net, x[start : start + _PREDICT_CHUNK].astype(np.float64, copy=False))[0]
         out[:, start : start + _PREDICT_CHUNK] = twin_labels(logits)
     return out if twin else out[0]
 

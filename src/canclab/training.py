@@ -307,8 +307,10 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     never feeds back into training: final_networks and every selection and
     swap are the same as without it.
 
-    With two networks, at least two CPUs and the fork start method, a
-    forked worker process owns network 2 and this one network 1. They run
+    With two networks, at least two CPUs, the fork start method and a
+    process that is not daemonic (a daemonic one, such as a
+    multiprocessing.Pool worker, may have no children), a forked worker
+    process owns network 2 and this one network 1. They run
     the same loop in lockstep: each iteration they trade their B losses,
     and once each epoch their networks with their model-selection and
     training-split scores. While they run, each caps OpenBLAS at half the
@@ -326,7 +328,8 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
         nets.append(init_network(replace(spec, seed=init_seed_2)))
     job = (train_ds, modelsel_ds, config, nets, shuffle_rng)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(nets) == 1 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    daemon = multiprocessing.current_process().daemon  # a daemonic process may not fork
+    if len(nets) == 1 or cpus < 2 or daemon or "fork" not in multiprocessing.get_all_start_methods():
         return _train_loop(*job, tuple(range(len(nets))), _Alone())
 
     # fork, not spawn: the worker shares the datasets copy-on-write and

@@ -1,4 +1,19 @@
+import multiprocessing
 import sys
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_the_test():
+    """Fail a test that leaves a multiprocessing child alive, as a forked
+    pair's worker would be, and end the child so no later test sees it."""
+    yield
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.terminate()
+        child.join()
+    assert not alive, f"left a process running: {alive}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

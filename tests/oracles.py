@@ -168,8 +168,9 @@ def full_backward(net, caches, dlogits):
 
 
 def concatenated_mask_dataset(scenes, m, tau_label):
-    """Tile each scene into its own copies, label them, and concatenate the
-    per-scene arrays: scene-major, then row-major within the scene.
+    """Tile each scene into its own float32 copies, label them, and
+    concatenate the per-scene arrays: scene-major, then row-major within
+    the scene.
 
     Written separately from canclab.data.build_mask_dataset, which writes
     each scene's masks into one preallocated array as the scenes arrive.
@@ -183,7 +184,7 @@ def concatenated_mask_dataset(scenes, m, tau_label):
         patches = scene.image.reshape(g, m, g, m, c).transpose(0, 2, 1, 3, 4).reshape(g * g, m, m, c)
         gt_patches = scene.gt.reshape(g, m, g, m).transpose(0, 2, 1, 3).reshape(g * g, m, m)
         r, col = np.divmod(np.arange(g * g), g)
-        all_patches.append(patches.copy())
+        all_patches.append(patches.astype(np.float32))
         labels.append(_label_patches(gt_patches, tau_label))
         sids.append(np.full(g * g, scene.scene_id, dtype=np.int64))
         rows.append(r.astype(np.int64))

@@ -103,10 +103,11 @@ def test_tiling_reassembles_scene_exactly():
     ds = build_mask_dataset([scene], 1, m, 0.01)
     g = scene.size // m
     assert ds.patches.shape == (g * g, m, m, 1)
-    rebuilt = np.zeros_like(scene.image)
+    expect = scene.image.astype(np.float32)
+    rebuilt = np.zeros_like(expect)
     for patch, r, c in zip(ds.patches, ds.rows, ds.cols):
         rebuilt[r * m : (r + 1) * m, c * m : (c + 1) * m] = patch
-    assert np.array_equal(rebuilt, scene.image)
+    assert np.array_equal(rebuilt, expect)
 
 
 def test_tiling_is_row_major():
@@ -191,6 +192,7 @@ def test_build_mask_dataset_matches_concatenated_oracle_bitwise(channels, m, n_s
 
 def assert_same_masks(got, expect):
     assert got.clean_labels is None and expect.clean_labels is None
+    assert got.patches.dtype == np.float32
     for name in ("patches", "labels", "scene_ids", "rows", "cols"):
         a, b = getattr(got, name), getattr(expect, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
@@ -358,8 +360,8 @@ def test_dataset_file_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert back.clean_labels is None
     assert_same_origin(back, ds)
-    # patches round-trip through float32 storage
-    assert np.array_equal(back.patches, ds.patches.astype("<f4").astype(np.float64))
+    # patches are held at the file's float32, so they read back as written
+    assert (back.patches.dtype, back.patches.tobytes()) == (np.float32, ds.patches.tobytes())
 
 
 def test_dataset_file_roundtrip_with_clean_labels(tmp_path):

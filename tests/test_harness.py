@@ -31,6 +31,7 @@ from canclab import (
     read_dataset,
     run_experiment,
     sweep,
+    train,
     write_dataset,
 )
 from canclab.config import parse_config_text
@@ -509,6 +510,23 @@ def test_file_source_from_gen_data_matches_synthetic(tmp_path):
     cfg_path.write_text(file_source_ini(full))
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_synthetic_run_trains_the_networks_of_its_gen_data_file(tmp_path):
+    """A run holds its masks at the precision full.bin stores them, so a
+    synthetic source and a file source of its gen-data full.bin train the
+    same best and final networks, byte for byte."""
+    cfg = tiny_cfg()
+    cfg = replace(cfg, train=replace(cfg.train, t_max=2))
+    gen_data(cfg, out_dir=str(tmp_path))
+    from_file = replace(cfg, data=replace(cfg.data, source="file", path=str(tmp_path / "full.bin")))
+    results = []
+    for c in (cfg, from_file):
+        train_ds, modelsel_ds, _ = prepare_data(c)
+        results.append(train(train_ds, modelsel_ds, c.train))
+    nets = [[b"".join(a.tobytes() for pair in net.params for a in pair)
+             for net in (r.best_network, *r.final_networks)] for r in results]
+    assert len(nets[0]) == 3 and nets[0] == nets[1]
 
 
 def test_cli_file_source_rejects_file_with_noise(tmp_path):

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from canclab import NetworkSpec, gen_data, generate_scene, init_network, parse_layers, predict
 from canclab.config import load_config
@@ -38,20 +39,22 @@ def test_prepare_data_holds_its_partitions_and_one_scene():
     """The build writes each scene's masks straight into the partitions, so
     at its peak it holds them and one scene: the scene being tiled and its
     tile copy, or the scene being drawn and its pixel-noise draw. The whole
-    dataset, as large as the partitions together, never exists."""
+    dataset, as large as the partitions together, never exists. The
+    partitions hold their 5,120 masks in float32, 20 MiB of patches."""
     cfg = load_config(DEFAULT_INI)
     parts, peak = traced_peak(prepare_data, cfg)
     scene = generate_scene(cfg.data)
     one_scene = scene.image.nbytes + scene.gt.nbytes  # 2.25 MiB
-    assert held_bytes(parts) > 40 * MiB
+    assert all(ds.patches.dtype == np.float32 for ds in parts)
+    assert held_bytes(parts) > 20 * MiB
     assert peak <= held_bytes(parts) + 2 * one_scene, peak / MiB
 
 
 def test_file_source_prepare_data_widens_only_the_partitions(tmp_path):
-    """A file source is read as float32 and split before it is widened:
-    the peak holds the records and the float64 partitions, never the whole
-    file in float64. The 1 MiB covers the file's int64 label and grid
-    columns, which live as long as the records, and the take's chunk."""
+    """A file source is split as read, in the file's float32: the peak
+    holds the records and the float32 partitions, never the file widened.
+    The 1 MiB covers the file's int64 label and grid columns, which live
+    as long as the records."""
     cfg = load_config(DEFAULT_INI)
     gen_data(cfg, out_dir=str(tmp_path))
     path = str(tmp_path / "full.bin")
@@ -60,12 +63,15 @@ def test_file_source_prepare_data_widens_only_the_partitions(tmp_path):
     assert peak <= os.path.getsize(path) + held_bytes(parts) + MiB, peak / MiB
 
 
-def test_predict_memory_does_not_grow_with_the_row_count():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_predict_memory_does_not_grow_with_the_row_count(dtype):
     """predict forwards fixed chunks of rows, so one bound holds at any row
-    count: a 128-row chunk of the default network needs about 7.6 MiB."""
+    count: a 128-row chunk of the default network needs about 6.0 MiB. A
+    float32 input, as a dataset holds it, is widened one chunk at a time,
+    which adds that chunk's 1 MiB."""
     cfg = load_config(DEFAULT_INI)
     net = init_network(NetworkSpec(32, 1, parse_layers(cfg.train.network), seed=1))
-    x = np.random.default_rng(0).random((3584, 32, 32, 1))
+    x = np.random.default_rng(0).random((3584, 32, 32, 1)).astype(dtype)
     for n in (512, 3584):
         _, peak = traced_peak(predict, net, x[:n])
         assert peak <= 8 * MiB, (n, peak / MiB)

@@ -33,6 +33,8 @@ from canclab import (
     train,
 )
 from canclab import nn, training
+from canclab.config import load_config
+from canclab.harness import prepare_data
 from oracles import coteaching_teach, gather_and_forward_step, vanilla_replay, zeroed
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
@@ -773,3 +775,27 @@ def test_forked_worker_runs_the_patched_teach_half(monkeypatch):
     forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
     assert network_bytes(forked.final_networks[0]) == network_bytes(one.final_networks[0])
     assert network_bytes(forked.final_networks[1]) != network_bytes(one.final_networks[1])
+
+
+SMOKE_INI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "configs", "smoke.ini")
+
+
+def test_train_in_a_pool_worker_matches_the_forked_pair_bit_for_bit(monkeypatch):
+    """A multiprocessing.Pool worker is daemonic and may have no children,
+    so train() there keeps both networks in its own process; the result is
+    the forked pair's, which train() gives outside the pool."""
+    cfg = load_config(SMOKE_INI)
+    train_cfg = replace(cfg.train, algo="canc", t_max=1)
+    train_ds, modelsel_ds, _ = prepare_data(cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the pool inherits it
+    here = train(train_ds, modelsel_ds, train_cfg)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(train, (train_ds, modelsel_ds, train_cfg))
+        pool.close()
+        pool.join()
+    assert repr(pooled.records) == repr(here.records)
+    assert (pooled.best_epoch, pooled.best_accuracy) == (here.best_epoch, here.best_accuracy)
+    for got, want in zip((pooled.best_network, *pooled.final_networks),
+                         (here.best_network, *here.final_networks)):
+        assert network_bytes(got) == network_bytes(want)
