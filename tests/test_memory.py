@@ -7,7 +7,6 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from canclab import NetworkSpec, gen_data, generate_scene, init_network, parse_layers, predict
 from canclab.config import load_config
@@ -63,15 +62,15 @@ def test_file_source_prepare_data_widens_only_the_partitions(tmp_path):
     assert peak <= os.path.getsize(path) + held_bytes(parts) + MiB, peak / MiB
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_predict_memory_does_not_grow_with_the_row_count(dtype):
+def test_predict_memory_does_not_grow_with_the_row_count():
     """predict forwards fixed chunks of rows, so one bound holds at any row
     count: a 128-row chunk of the default network needs about 6.0 MiB. A
     float32 input, as a dataset holds it, is widened one chunk at a time,
     which adds that chunk's 1 MiB."""
     cfg = load_config(DEFAULT_INI)
     net = init_network(NetworkSpec(32, 1, parse_layers(cfg.train.network), seed=1))
-    x = np.random.default_rng(0).random((3584, 32, 32, 1)).astype(dtype)
-    for n in (512, 3584):
-        _, peak = traced_peak(predict, net, x[:n])
-        assert peak <= 8 * MiB, (n, peak / MiB)
+    x64 = np.random.default_rng(0).random((3584, 32, 32, 1))
+    for x in (x64, x64.astype(np.float32)):
+        for n in (512, 3584):
+            _, peak = traced_peak(predict, net, x[:n])
+            assert peak <= 8 * MiB, (x.dtype, n, peak / MiB)
