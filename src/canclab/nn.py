@@ -14,28 +14,34 @@ leaky ReLU. No layer names its input width: layer_plan derives every
 layer's input shape and weight shape from the spec's input side and
 channel count. Data layout is channels-last: (B, H, W, C). Everything is
 float64; an input of another precision, such as the float32 masks a
-dataset holds, is widened as the network reads it, one batch or one
-predict chunk at a time.
+dataset holds, is widened as the network reads it, one chunk at a time.
 
 Entry points: forward(net, x) runs one checked forward over a batch x
-of shape (B,H,W,C) in [0,1] and returns (logits, caches).
-per_sample_loss(logits, y) ranks the batch by those logits against B
-labels in {0,1}. sgd_step(net, y, fwd, lr, rows) updates net on the mean
-cross-entropy over the chosen rows of its own forward fwd, and
-loss_and_gradients(net, y, fwd, rows) exposes that loss and its gradients;
-rows defaults to the whole batch. Unchosen rows enter the backward with a
-zero gradient, so a step runs no forward of its own and every GEMM of it
-has B rows, whatever the choice. predict(net, x) labels any number of
-rows, in forwards over fixed chunks of _PREDICT_CHUNK = 128 rows, and with
+of shape (B,H,W,C) in [0,1] and returns (logits, chunks): the (B, 2)
+logits and each chunk's caches. per_sample_loss(logits, y) ranks the batch
+by those logits against B labels in {0,1}. sgd_step(net, y, fwd, lr, rows)
+updates net on the mean cross-entropy over the chosen rows of its own
+forward fwd, and loss_and_gradients(net, y, fwd, rows) exposes that loss
+and its gradients; rows defaults to the whole batch. Unchosen rows enter
+the backward with a zero gradient, so a step runs no forward of its own,
+whatever the choice. predict(net, x) labels any number of rows, and with
 twin=True also gives swap_logits(net)'s labels from the same logits, by
-twin_labels. The chunk bounds a prediction's memory whatever the row
-count. Its size is a declared numerics choice: OpenBLAS switches to a
-small-matrix kernel when M*N*K <= 10^6, so a chunk of a few tail rows can
-round its logits in the last bits unlike the same rows inside a larger
-chunk, and a change of chunk size may move the logits (not, on the shipped
-configs, any label). Training never calls predict, so no network depends
-on it. Backprop stops at the first parametric layer's weights: no gradient
-with respect to the network input is formed.
+twin_labels. Training never calls predict.
+
+One chunk rule serves forward and predict: the batch is cut into fixed
+chunks of _CHUNK = 128 rows, each widened to float64 and forwarded on its
+own, so the im2col and dW copies of a forward or a step are one chunk's
+whatever B is. A step backprops each chunk's slice of the whole batch's
+logit gradient through that chunk's caches and adds the gradients up in
+chunk order. A batch of at most 128 rows is one chunk. The chunk size is a
+declared numerics choice: a larger batch sums its dW and db over chunks,
+and OpenBLAS switches to a small-matrix kernel when M*N*K <= 10^6, so a
+chunk of a few tail rows can round its logits in the last bits unlike the
+same rows inside a larger chunk. A forward stops at the first chunk with a
+non-finite activation, so the NumericError of a batch of several chunks
+names that chunk's first bad layer, which need not be the first bad layer
+over the whole batch. Backprop stops at the first parametric layer's
+weights: no gradient with respect to the network input is formed.
 
 A conv layer's forward gathers its im2col matrix with one np.take over a
 cached table of tap offsets (_taps). That matrix is, value for value and
@@ -66,19 +72,19 @@ import functools
 import math
 import re
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError
 
-# Rows per predict forward. Fixed, so rerun predictions are bitwise
-# identical. 128 rows hold a default-network forward's working set near
-# 7.6 MiB (conv1's im2col matrix is 5 MB of it); 512 rows needed 30 MiB,
-# which set a run's peak memory during its per-epoch evaluation. The
-# logits depend on the chunk size in the last bits at some row counts, where
-# the cut leaves a tail of a few rows (see the module docstring).
-_PREDICT_CHUNK = 128
+# Rows per chunk of every forward and backward (see the module docstring).
+# Fixed, so reruns are bitwise identical. A default-network predict chunk
+# peaks near 6.0 MiB under tracemalloc (7.0 MiB from float32 input), 5 MB
+# of it conv1's im2col matrix, and a training step adds the caches it holds,
+# about 20 KiB per row, to one chunk's working set.
+_CHUNK = 128
 
 
 def _fix_malloc_thresholds():
@@ -86,9 +92,10 @@ def _fix_malloc_thresholds():
 
     By default glibc maps every block above an mmap threshold afresh and
     raises that threshold to the largest mapped block freed so far. After
-    the streamed dataset build it can sit below the im2col temporaries
-    (2.5 MB at B=64, 20 MB at B=512), which are then mapped and
-    page-faulted anew on every forward. Setting either threshold switches
+    the streamed dataset build it can sit below the im2col and dW
+    temporaries (2.5 MB at B=64, 5 MB in a full 128-row chunk, the most any
+    batch makes), which are then mapped and page-faulted anew on every
+    forward. Setting either threshold switches
     the adaptation off and leaves the other at its 128 KiB default, so both
     are set. A C library without mallopt is left as it is.
     """
@@ -368,10 +375,21 @@ def _backward(net: Network, caches, dlogits: np.ndarray):
     return grads
 
 
+def _chunk_forwards(net: Network, x):
+    """(logits, caches) of each fixed _CHUNK-row chunk of the batch x, in
+    row order, after checking x: the one chunk loop of forward and predict.
+    Each chunk is widened to float64 only as it is forwarded."""
+    x = _check_input(net, x)
+    for start in range(0, len(x), _CHUNK):
+        yield _forward(net, x[start : start + _CHUNK].astype(np.float64, copy=False))
+
+
 def forward(net: Network, x):
-    """(logits, caches) of net on the batch x, checked: the forward that
+    """(logits, chunks) of net on the batch x, checked: the (B, 2) logits
+    and each chunk's caches in row order. This is the forward that
     per_sample_loss ranks by and that sgd_step backprops."""
-    return _forward(net, _check_input(net, x).astype(np.float64, copy=False))
+    logits, chunks = zip(*_chunk_forwards(net, x))
+    return np.concatenate(logits), list(chunks)
 
 
 def per_sample_loss(logits: np.ndarray, y) -> np.ndarray:
@@ -399,20 +417,17 @@ def twin_labels(logits: np.ndarray) -> np.ndarray:
 
 def predict(net: Network, x, twin: bool = False) -> np.ndarray:
     """Argmax label per sample of a raw (B,H,W,C) array; ties resolve to
-    label 0. No labels needed, unlike the loss entry points. Forwards run
-    over fixed chunks of _PREDICT_CHUNK rows, so memory stays bounded
-    whatever B is and reruns are bitwise identical. Each chunk is widened
-    to float64 as it is forwarded, so a float32 x is never held widened.
+    label 0. No labels needed, unlike the loss entry points. It forwards
+    the chunks forward does, but keeps no chunk's caches past its labels,
+    so memory stays bounded whatever B is and reruns are bitwise identical;
+    a float32 x is never held widened.
 
     With twin, a (2, B) array: twin_labels of the same logits. The twin's
     forward differs only in the last dense layer's two output columns, so
     its logits are these reversed and its labels the same."""
-    x = _check_input(net, x)
-    out = np.empty((2, len(x)), dtype=np.int64)
-    for start in range(0, len(x), _PREDICT_CHUNK):
-        # no reference to the widened chunk or the caches outlives the forward
-        logits = _forward(net, x[start : start + _PREDICT_CHUNK].astype(np.float64, copy=False))[0]
-        out[:, start : start + _PREDICT_CHUNK] = twin_labels(logits)
+    # itemgetter frees each chunk's caches before the next chunk's forward
+    labels = [twin_labels(logits) for logits in map(itemgetter(0), _chunk_forwards(net, x))]
+    out = np.concatenate(labels, axis=1)
     return out if twin else out[0]
 
 
@@ -422,9 +437,12 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
 
     rows indexes the chosen rows, each at most once; None chooses all B.
     The other rows enter the backward with a zero gradient. A row outside
-    [0, B) is a ValueError.
+    [0, B) is a ValueError. The logit gradient is formed once over the
+    whole batch; each chunk backprops its slice of it, and the chunks'
+    gradients are summed in chunk order. fwd is left as it is, so it can
+    be stepped on again.
     """
-    logits, caches = fwd
+    logits, chunks = fwd
     losses = per_sample_loss(logits, y)
     b, y = len(logits), np.asarray(y, dtype=np.int64)
     if rows is None:
@@ -443,7 +461,13 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
     dlogits[~chosen] = 0.0
     losses = losses[chosen]
     dlogits /= len(losses)
-    grads = _backward(net, caches, dlogits)
+    grads, start = None, 0
+    for caches in chunks:
+        n = len(caches[0][1])  # every cache entry holds the chunk's rows first
+        part = _backward(net, caches, dlogits[start : start + n])
+        start += n
+        grads = part if grads is None else [
+            (dw + pw, db + pb) for (dw, db), (pw, pb) in zip(grads, part)]
     for i, (dw, db) in enumerate(grads):
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericError(f"non-finite gradient in parametric layer {i}", layer=i)

@@ -75,21 +75,58 @@ def gather_and_forward_step(net, x, y, clean, swap, lr):
     """The peer step as a second forward over the chosen rows only: gather
     the clean rows as labelled, then the swap rows with flipped labels, run
     a fresh forward over that smaller batch, and step on its mean
-    cross-entropy.
+    cross-entropy. Over CHUNK rows, the forward and backward run chunk by
+    chunk, as chunk_order_backward does.
 
     Written separately from canclab.nn.sgd_step, which backprops the
     ranking forward over the whole batch with the unchosen rows zeroed.
     """
     rows = np.concatenate([clean, swap])
     labels = np.concatenate([y[clean], 1 - y[swap]])
-    logits, caches = _forward(net, x[rows])
-    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
-    dlogits = expz / expz.sum(axis=1, keepdims=True)
-    dlogits[np.arange(len(rows)), labels] -= 1.0
-    grads = _backward(net, caches, dlogits / len(rows))
+
+    def dlogits_of(logits):
+        expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+        dlogits = expz / expz.sum(axis=1, keepdims=True)
+        dlogits[np.arange(len(rows)), labels] -= 1.0
+        return dlogits / len(rows)
+
+    if len(rows) > CHUNK:
+        chunks = chunk_forwards(net, x[rows])
+        logits = np.concatenate([logits for logits, _ in chunks])
+        grads = chunk_order_backward(net, chunks, dlogits_of(logits))
+    else:
+        logits, caches = _forward(net, x[rows])
+        grads = _backward(net, caches, dlogits_of(logits))
     return replace(
         net, params=tuple((w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads))
     )
+
+
+CHUNK = 128  # rows per chunk of canclab.nn's forward and backward
+
+
+def chunk_forwards(net, x):
+    """(logits, caches) of _forward over each CHUNK-row chunk of x, in row
+    order."""
+    return [_forward(net, x[start : start + CHUNK]) for start in range(0, len(x), CHUNK)]
+
+
+def chunk_order_backward(net, chunks, dlogits):
+    """The gradients of a batch forwarded as chunks = chunk_forwards(net,
+    x): full_backward of each chunk's slice of the whole batch's dlogits,
+    added up from the first chunk to the last.
+
+    Written separately from canclab.nn.loss_and_gradients, which backprops
+    with _backward and forms dlogits itself.
+    """
+    grads, start = None, 0
+    for _, caches in chunks:
+        n = len(caches[0][1])
+        part = full_backward(net, caches, dlogits[start : start + n])
+        start += n
+        grads = part if grads is None else [(gw + pw, gb + pb)
+                                            for (gw, gb), (pw, pb) in zip(grads, part)]
+    return grads
 
 
 def tensordot_forward(net, x):

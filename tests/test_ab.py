@@ -115,3 +115,11 @@ def test_trade_paths_swaps_the_trees_directories(ab, tmp_path):
     ab.trade_paths(trees)
     assert trees == {"base": tmp_path / "base", "change": tmp_path / "change"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "change"]
+
+
+def test_workload_takes_several_names_and_repeats(ab):
+    assert ab.parse_args(["HEAD~1"]).workload is None
+    for argv in (["--workload", "vanilla_b512", "canc_sym055"],
+                 ["--workload", "vanilla_b512", "--workload", "canc_sym055"]):
+        args = ab.parse_args(["HEAD~1", *argv, "--pairs", "3"])
+        assert (args.workload, args.pairs) == (["vanilla_b512", "canc_sym055"], 3)

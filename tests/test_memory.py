@@ -1,4 +1,5 @@
-"""Peak memory of the data build and of prediction on the default config,
+"""Peak memory of the data build, of a training step and of prediction on
+the default config,
 as tracemalloc sees it: numpy reports its data buffers to tracemalloc, so
 a transient copy of the dataset or a large forward shows in the peak."""
 
@@ -8,7 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from canclab import NetworkSpec, gen_data, generate_scene, init_network, parse_layers, predict
+from canclab import (NetworkSpec, forward, gen_data, generate_scene, init_network, parse_layers,
+                     predict, sgd_step)
 from canclab.config import load_config
 from canclab.harness import prepare_data
 
@@ -74,3 +76,19 @@ def test_predict_memory_does_not_grow_with_the_row_count():
         for n in (512, 3584):
             _, peak = traced_peak(predict, net, x[:n])
             assert peak <= 8 * MiB, (x.dtype, n, peak / MiB)
+
+
+def test_training_step_memory_is_its_caches_and_one_chunk():
+    """A step forwards and backprops fixed 128-row chunks, so its peak is
+    the caches the forward holds for the step, 20.6 KiB a row (the float32
+    input widened and the two leaky ReLU activations), plus one chunk's
+    working set, 7.7 MiB as measured. Forwarded whole, the batch's im2col
+    and dW copies grew with it: 40.3 MiB at 512 rows, 161.3 MiB at 2048."""
+    cfg = load_config(DEFAULT_INI)
+    net = init_network(NetworkSpec(32, 1, parse_layers(cfg.train.network), seed=1))
+    per_row = 8 * (32 * 32 * 1 + 14 * 14 * 6 + 6 * 6 * 12)
+    rng = np.random.default_rng(0)
+    for n in (512, 2048):
+        x, y = rng.random((n, 32, 32, 1), dtype=np.float32), rng.integers(0, 2, size=n)
+        _, peak = traced_peak(lambda: sgd_step(net, y, forward(net, x), 0.1))
+        assert peak <= n * per_row + 9 * MiB, (n, peak / MiB)

@@ -3,6 +3,7 @@ values, and gradient correctness against central finite differences."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from canclab import (
 )
 from canclab import nn
 from canclab.nn import _backward, _forward, layer_plan
-from oracles import full_backward, tensordot_forward, zeroed
+from oracles import (chunk_forwards, chunk_order_backward, full_backward, tensordot_forward,
+                     zeroed)
 
 
 def tiny_spec(seed=0):
@@ -174,15 +176,16 @@ def test_predict_tie_goes_to_class_zero():
 # gradients vs central finite differences
 
 
-def _loss_of(net, x, y):
-    logits, _ = _forward(net, x)
-    return float(per_sample_loss(logits, y).mean())
+def _loss_of(net, x, y, rows=slice(None)):
+    return float(per_sample_loss(forward(net, x)[0], y)[rows].mean())
 
 
-def _max_rel_err(spec, n=4, data_seed=0):
-    net = init_network(spec)
-    x, y = rand_batch(spec, n=n, seed=data_seed)
-    _, grads = loss_and_gradients(net, y, forward(net, x))
+def _max_rel_err(net, x, y, rows=None):
+    """The worst relative gap between loss_and_gradients' gradients and
+    central finite differences of the loss, over every parameter; rows, if
+    given, must be distinct."""
+    _, grads = loss_and_gradients(net, y, forward(net, x), rows)
+    rows = slice(None) if rows is None else np.sort(rows)
     h = 1e-5
     worst = 0.0
     for p, (dw, db) in enumerate(grads):
@@ -190,9 +193,9 @@ def _max_rel_err(spec, n=4, data_seed=0):
             for idx in np.ndindex(*arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = _loss_of(net, x, y)
+                lp = _loss_of(net, x, y, rows)
                 arr[idx] = orig - h
-                lm = _loss_of(net, x, y)
+                lm = _loss_of(net, x, y, rows)
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
@@ -200,8 +203,12 @@ def _max_rel_err(spec, n=4, data_seed=0):
     return worst
 
 
+def _fd_case(spec):
+    return init_network(spec), *rand_batch(spec)
+
+
 def test_gradients_all_layer_types():
-    assert _max_rel_err(tiny_spec(seed=3)) <= 1e-4
+    assert _max_rel_err(*_fd_case(tiny_spec(seed=3))) <= 1e-4
 
 
 def test_gradients_deeper_multichannel():
@@ -211,7 +218,7 @@ def test_gradients_deeper_multichannel():
         layers=parse_layers("conv(2,3,1) lrelu(0.2) conv(3,3,2) lrelu(0.1) dense(2)"),
         seed=5,
     )
-    assert _max_rel_err(spec) <= 1e-4
+    assert _max_rel_err(*_fd_case(spec)) <= 1e-4
 
 
 def test_gradients_stride_remainder():
@@ -219,7 +226,7 @@ def test_gradients_stride_remainder():
     spec = NetworkSpec(
         input_size=9, channels=1, layers=parse_layers("conv(2,4,3) lrelu(0.1) dense(2)"), seed=7
     )
-    assert _max_rel_err(spec) <= 1e-4
+    assert _max_rel_err(*_fd_case(spec)) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +299,62 @@ def test_backward_bitwise_equals_full_backward_oracle(monkeypatch, name, b):
     n_keep = (3 * b) // 5
     keep, flip = order[:n_keep], order[n_keep : max(n_keep + 1, (4 * b) // 5)]
     rows, peer_y = np.concatenate([keep, flip]), flip_labels(y, flip)
-    got = sgd_step(net, peer_y, (logits, caches), 0.05, rows)
+    got = sgd_step(net, peer_y, (logits, [caches]), 0.05, rows)
     monkeypatch.setattr(nn, "_backward", full_backward)
-    want = sgd_step(net, peer_y, (logits, caches), 0.05, rows)
+    want = sgd_step(net, peer_y, (logits, [caches]), 0.05, rows)
     for (gw, gb), (ow, ob) in zip(got.params, want.params):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
+
+
+# chunks of 128, 128 and 5 rows
+RAGGED = 261
+# none in the first chunk; row 128 but not 127, the 255 | 256 edge, and the
+# tail chunk
+RAGGED_ROWS = [128, 129, 200, 254, 255, 256, 257, 260]
+# criterion 3's network
+FD_SPEC = NetworkSpec(8, 1, parse_layers("conv(3,3,2) lrelu(0.1) conv(4,3,1) lrelu(0.2) dense(2)"),
+                      seed=11)
+
+
+def ragged_batch(size, seed):
+    """RAGGED rows of side size, with labels flipped at two chosen rows."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(RAGGED, size, size, 1))
+    return x, flip_labels(rng.integers(0, 2, size=RAGGED), [129, 256])
+
+
+@pytest.mark.parametrize("rows", [None, RAGGED_ROWS])
+@pytest.mark.parametrize("name", sorted(BITWISE_NETS))
+def test_gradients_across_chunks_bitwise_equal_chunk_order_sum_of_full_backward(name, rows):
+    """A batch over 128 rows steps on the sum, in chunk order, of each
+    chunk's backward of its slice of the whole batch's logit gradient, bit
+    for bit; full chunks keep the logits of one forward over their rows."""
+    size, layers = BITWISE_NETS[name]
+    net = init_network(NetworkSpec(size, 1, parse_layers(layers), seed=3))
+    x, y = ragged_batch(size, seed=3)
+    fwd = forward(net, x)
+    assert [len(caches[0][1]) for caches in fwd[1]] == [128, 128, 5]
+    assert fwd[0][:256].tobytes() == _forward(net, x[:256])[0].tobytes()
+    loss, grads = loss_and_gradients(net, y, fwd, rows)
+
+    chosen = np.zeros(RAGGED, dtype=bool)
+    chosen[slice(None) if rows is None else rows] = True
+    chunks = chunk_forwards(net, x)
+    logits = np.concatenate([logits for logits, _ in chunks])
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = expz / expz.sum(axis=1, keepdims=True)
+    dlogits[np.arange(RAGGED), y] -= 1.0
+    dlogits[~chosen] = 0.0
+    want = chunk_order_backward(net, chunks, dlogits / chosen.sum())
+    assert bitwise_equal(fwd[0], logits) and bitwise_equal(grads, want)
+    assert loss == float(per_sample_loss(logits, y)[chosen].mean())
+
+
+@pytest.mark.parametrize("rows", [None, RAGGED_ROWS])
+def test_finite_differences_hold_across_chunks(rows):
+    """Criterion 3's check at its tolerance, on a batch of three chunks."""
+    x, y = ragged_batch(FD_SPEC.input_size, seed=5)
+    assert _max_rel_err(init_network(FD_SPEC), x, y, rows) <= 1e-4
 
 
 def bitwise_equal(a, b):
@@ -357,9 +415,9 @@ def test_leaky_relu_bitwise_equals_where_oracle(monkeypatch, name, slope, b):
     got, want = _forward(net, x), tensordot_forward(net, x)
     assert bitwise_equal(got, want)
 
-    loss, grads = loss_and_gradients(net, y, got)
+    loss, grads = loss_and_gradients(net, y, (got[0], [got[1]]))
     monkeypatch.setattr(nn, "_backward", full_backward)
-    want_loss, want_grads = loss_and_gradients(net, y, want)
+    want_loss, want_grads = loss_and_gradients(net, y, (want[0], [want[1]]))
     assert loss == want_loss and bitwise_equal(grads, want_grads)
 
     labels = np.argmax(want[0], axis=1), np.argmax(want[0][:, ::-1], axis=1)
@@ -408,11 +466,29 @@ def test_non_finite_activation_raises_with_layer_index():
     net = init_network(tiny_spec())
     bad_w = net.params[0][0].copy()
     bad_w[0, 0, 0, 0] = np.inf
-    from dataclasses import replace
-
     broken = replace(net, params=((bad_w, net.params[0][1]),) + net.params[1:])
     with pytest.raises(NumericError) as err:
         forward(broken, rand_batch(tiny_spec())[0])
+    assert err.value.layer == 0
+
+
+def test_non_finite_activation_names_the_first_bad_chunks_layer():
+    """A forward stops at the first chunk with a non-finite activation, so
+    over several chunks the error names that chunk's first bad layer. Here
+    row 0 overflows only at the dense layer (layer 2) and row 130 at the
+    input conv (layer 0): one forward over both rows names layer 0, the
+    chunked forward layer 2."""
+    spec = NetworkSpec(4, 1, parse_layers("conv(1,1,1) lrelu(0.1) dense(2)"))
+    net = init_network(spec)
+    ones = replace(net, params=tuple((np.ones_like(w), np.zeros_like(b)) for w, b in net.params))
+    x = np.zeros((200, 4, 4, 1))
+    x[0] = 1e308
+    x[130] = np.inf
+    with pytest.raises(NumericError) as err:
+        forward(ones, x)
+    assert err.value.layer == 2
+    with pytest.raises(NumericError) as err:
+        _forward(ones, x)
     assert err.value.layer == 0
 
 

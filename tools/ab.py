@@ -1,6 +1,6 @@
 """Compare a base commit with a change: report digests, then benchmark pairs.
 
-    python3 tools/ab.py REV [--workload W ...] [--pairs N] [--seed K]
+    python3 tools/ab.py REV [--workload W [W ...]] [--pairs N] [--seed K]
                             [--seconds S] [--trace 0|1] [--networks]
 
 Archives REV (the base) and HEAD (the change) with `git archive` into one
@@ -223,17 +223,22 @@ def print_rows(rows):
               f"{'claim' if r['claim'] else '-'}")
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the base commit")
-    ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
+    ap.add_argument("--workload", action="extend", nargs="+",
+                    help="one or more names, repeatable; default: every workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--networks", action="store_true",
                     help="also compare the hashes of criterion 8's best and final networks")
-    args = ap.parse_args(argv)
+    return ap.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     workloads = args.workload or [m["name"] for m in
                                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 

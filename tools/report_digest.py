@@ -27,6 +27,10 @@ trees that differ only in the training split's scoring print these lines
 the same. They come last, so a tree whose script lacks them still lines up
 line for line with the rest.
 
+Last of all it runs configs/smoke.ini at batch_size = 200, whose first
+batch of 200 rows is forwarded and backpropped as chunks of 128 and 72,
+and prints that run's lines and its two no-train lines in the same way.
+
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
 comes from the environment (e.g. OPENBLAS_NUM_THREADS). Run from anywhere:
@@ -97,9 +101,19 @@ def runs():
     yield "smoke_file", smoke, "file"
 
 
-def main():
+def late_runs():
+    """Runs added after the others, digested after every line of theirs so
+    that a tree whose script lacks them still lines up line for line."""
+    smoke = load_config(ROOT / "configs" / "smoke.ini")
+    # 264 training rows: batches of 200 and 64 rows, the first forwarded as
+    # chunks of 128 and 72
+    yield "smoke_b200", replace(smoke, train=replace(smoke.train, batch_size=200)), "train"
+
+
+def digest_runs(named_runs):
+    """Run each, print its file lines, then every run's no-train lines."""
     no_train = []
-    for name, cfg, kind in runs():
+    for name, cfg, kind in named_runs:
         with tempfile.TemporaryDirectory() as out:
             if kind == "train":
                 harness.run_experiment(cfg, out_dir=out)
@@ -124,6 +138,11 @@ def main():
                     no_train.append(f"{name} {fname}:no-train {digest}")
     for line in no_train:
         print(line, flush=True)
+
+
+def main():
+    digest_runs(runs())
+    digest_runs(late_runs())
 
 
 if __name__ == "__main__":
