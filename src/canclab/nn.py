@@ -31,7 +31,10 @@ twin_labels. Training never calls predict.
 One chunk rule serves forward and predict: the batch is cut into fixed
 chunks of _CHUNK = 128 rows, each widened to float64 and forwarded on its
 own, so the im2col and dW copies of a forward or a step are one chunk's
-whatever B is. A step backprops each chunk's slice of the whole batch's
+whatever B is. A default-network forward + sgd_step on float32 input
+peaks under tracemalloc at 17.9 MiB for B=512 and 48.8 MiB for B=2048
+(40.3 and 161.3 MiB as one forward); what still grows with B is the
+caches the step holds. A step backprops each chunk's slice of the whole batch's
 logit gradient through that chunk's caches and adds the gradients up in
 chunk order. A batch of at most 128 rows is one chunk. The chunk size is a
 declared numerics choice: a larger batch sums its dW and db over chunks,
@@ -82,8 +85,8 @@ from .errors import ConfigError, NumericError
 # Rows per chunk of every forward and backward (see the module docstring).
 # Fixed, so reruns are bitwise identical. A default-network predict chunk
 # peaks near 6.0 MiB under tracemalloc (7.0 MiB from float32 input), 5 MB
-# of it conv1's im2col matrix, and a training step adds the caches it holds,
-# about 20 KiB per row, to one chunk's working set.
+# of it conv1's im2col matrix. A training step adds to one chunk's working
+# set the caches it holds for the step, 20.6 KiB a row on float32 input.
 _CHUNK = 128
 
 
@@ -93,11 +96,11 @@ def _fix_malloc_thresholds():
     By default glibc maps every block above an mmap threshold afresh and
     raises that threshold to the largest mapped block freed so far. After
     the streamed dataset build it can sit below the im2col and dW
-    temporaries (2.5 MB at B=64, 5 MB in a full 128-row chunk, the most any
-    batch makes), which are then mapped and page-faulted anew on every
-    forward. Setting either threshold switches
-    the adaptation off and leaves the other at its 128 KiB default, so both
-    are set. A C library without mallopt is left as it is.
+    temporaries (2.5 MB at B=64, and at most 5 MB, a full 128-row chunk's,
+    at any B), which are then mapped and page-faulted anew on every
+    forward. Setting either threshold switches the adaptation off and
+    leaves the other at its 128 KiB default, so both are set. A C library
+    without mallopt is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -463,7 +466,7 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
     dlogits /= len(losses)
     grads, start = None, 0
     for caches in chunks:
-        n = len(caches[0][1])  # every cache entry holds the chunk's rows first
+        n = len(caches[0][1])  # each cache entry's array leads with the chunk's rows
         part = _backward(net, caches, dlogits[start : start + n])
         start += n
         grads = part if grads is None else [

@@ -12,6 +12,8 @@ from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
 from canclab.training import derive_train_seeds
 
+CHUNK = 128  # rows per chunk of canclab.nn's forward and backward
+
 
 def zeroed(net):
     """net with every weight and bias zero, so that every sample's two
@@ -100,9 +102,6 @@ def gather_and_forward_step(net, x, y, clean, swap, lr):
     return replace(
         net, params=tuple((w - lr * dw, b - lr * db) for (w, b), (dw, db) in zip(net.params, grads))
     )
-
-
-CHUNK = 128  # rows per chunk of canclab.nn's forward and backward
 
 
 def chunk_forwards(net, x):

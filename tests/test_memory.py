@@ -1,7 +1,7 @@
 """Peak memory of the data build, of a training step and of prediction on
-the default config,
-as tracemalloc sees it: numpy reports its data buffers to tracemalloc, so
-a transient copy of the dataset or a large forward shows in the peak."""
+the default config, as tracemalloc sees it: numpy reports its data buffers
+to tracemalloc, so a transient copy of the dataset or a large forward
+shows in the peak."""
 
 import os
 import tracemalloc
