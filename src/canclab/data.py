@@ -374,19 +374,63 @@ def _record_dtype(m: int, c: int) -> np.dtype:
     )
 
 
-def write_dataset(path, ds: MaskDataset):
-    """Write ds as a version 3 file; float32 patches are stored as held."""
-    m, c, n = ds.m, ds.channels, len(ds)
-    records = np.empty(n, dtype=_record_dtype(m, c))
-    records["label"] = ds.labels
-    records["clean"] = NO_LABEL if ds.clean_labels is None else ds.clean_labels
-    records["scene"] = ds.scene_ids
-    records["row"] = ds.rows
-    records["col"] = ds.cols
-    records["patch"] = ds.patches
+_CHUNK_BYTES = 1 << 20  # the records a writer fills and writes at a time
+
+
+def _write_records(path, m: int, c: int, n: int, fill):
+    """Write a version 3 file of n records in chunks of about _CHUNK_BYTES
+    (at least one record): fill(records, lo, hi) sets every field of the
+    records of rows lo..hi-1, so one chunk of records is all that is held."""
+    dtype = _record_dtype(m, c)
+    step = max(1, _CHUNK_BYTES // dtype.itemsize)
+    buf = np.empty(min(n, step), dtype=dtype)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, m, c, n))
-        records.tofile(fh)
+        for lo in range(0, n, step):
+            records = buf[: min(step, n - lo)]
+            fill(records, lo, lo + len(records))
+            records.tofile(fh)
+
+
+def _put(records, at, ds: MaskDataset, rows: slice, labels, clean):
+    """Set records[at] from ds's rows, with the given label columns."""
+    for name, column in (("label", labels), ("clean", clean), ("scene", ds.scene_ids[rows]),
+                         ("row", ds.rows[rows]), ("col", ds.cols[rows]),
+                         ("patch", ds.patches[rows])):
+        records[name][at] = column
+
+
+def write_dataset(path, ds: MaskDataset):
+    """Write ds as a version 3 file, in bounded chunks of records; float32
+    patches are stored as held."""
+
+    def fill(records, lo, hi):
+        rows = slice(lo, hi)
+        clean = NO_LABEL if ds.clean_labels is None else ds.clean_labels[rows]
+        _put(records, slice(None), ds, rows, ds.labels[rows], clean)
+
+    _write_records(path, ds.m, ds.channels, len(ds), fill)
+
+
+def _write_whole(path, parts, g: int):
+    """Write the whole mask dataset that the partitions parts make up, as
+    write_dataset would write build_mask_dataset's whole, without building
+    it: row scene * g^2 + row * g + col of the file is the partition row
+    of that scene and grid position, with its true label (clean_labels
+    where the partition has them) and no clean label. Each partition must
+    hold its rows in ascending position, as the build gives them, and
+    together they must hold every position once."""
+    per = g * g
+    where = [p.scene_ids * per + p.rows * g + p.cols for p in parts]
+    truth = [p.labels if p.clean_labels is None else p.clean_labels for p in parts]
+
+    def fill(records, lo, hi):
+        for part, pos, labels in zip(parts, where, truth):
+            a, b = np.searchsorted(pos, (lo, hi))
+            rows = slice(a, b)
+            _put(records, pos[rows] - lo, part, rows, labels[rows], NO_LABEL)
+
+    _write_records(path, parts[0].m, parts[0].channels, sum(map(len, parts)), fill)
 
 
 def read_dataset(path) -> MaskDataset:

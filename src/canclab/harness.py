@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig, _convert
-from .data import build_mask_dataset, generate_scene, read_dataset, split_dataset, write_dataset
+from .data import (_write_whole, build_mask_dataset, generate_scene, read_dataset, split_dataset,
+                   write_dataset)
 from .errors import ConfigError, DataError
 from .metrics import confusion, prf1, scene_sp_iou
 from .nn import NetworkSpec, parse_layers, predict
@@ -74,23 +75,19 @@ def _write_atomic(path: str, data) -> None:
     os.replace(tmp, path)
 
 
-def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
-    """The (train, modelsel, eval) partitions, with label noise injected
-    into the training partition (and optionally the model-selection
-    partition); with_full puts the whole clean dataset first. A synthetic
-    source's scenes are drawn one at a time and their masks built straight
-    into the partitions (and the whole), rounded to float32; a file's
-    float32 masks are split as read. Either way the partitions hold the
-    same float32 bits, which the network widens batch by batch."""
+def prepare_data(cfg: ExperimentConfig):
+    """Steps 1-2 of the pipeline: the (train, modelsel, eval) partitions,
+    with label noise injected into train (and optionally modelsel).
+    Evaluation labels stay clean. A synthetic source's scenes are drawn one
+    at a time and their masks built straight into the partitions, rounded
+    to float32, so the whole dataset is never held; a file's float32 masks
+    are split as read. Either way the partitions hold the same float32
+    bits, which the network widens batch by batch."""
     d = cfg.data
     if d.source == "synthetic":
-        sets = d.split_indices()
-        if with_full:
-            # the partitions are exhaustive, so together they count every row
-            sets = (np.arange(sum(map(len, sets))),) + sets
         scenes = (generate_scene(d, scene_id=i) for i in range(d.n_scenes))
-        *full, train_ds, modelsel_ds, eval_ds = build_mask_dataset(
-            scenes, d.n_scenes, d.m, d.tau_label, sets
+        train_ds, modelsel_ds, eval_ds = build_mask_dataset(
+            scenes, d.n_scenes, d.m, d.tau_label, d.split_indices()
         )
     else:
         ds = read_dataset(d.path)
@@ -99,7 +96,6 @@ def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
                 f"{d.path} already has noisy labels; a file source must hold the "
                 "clean truth, as gen-data's full.bin does"
             )
-        full = []
         train_ds, modelsel_ds, eval_ds = split_dataset(ds, d.split, seed=d.seed)
 
     if cfg.noise.type != "none":
@@ -107,14 +103,7 @@ def _build_split_noise(cfg: ExperimentConfig, with_full: bool = False):
         train_ds = inject(train_ds, t, np.random.SeedSequence((cfg.noise.seed, 0)))
         if cfg.noise.noise_modelsel:
             modelsel_ds = inject(modelsel_ds, t, np.random.SeedSequence((cfg.noise.seed, 1)))
-    return (*full, train_ds, modelsel_ds, eval_ds)
-
-
-def prepare_data(cfg: ExperimentConfig):
-    """Steps 1-2 of the pipeline: the (train, modelsel, eval) partitions,
-    with label noise in train (and optionally modelsel). Evaluation labels
-    stay clean."""
-    return _build_split_noise(cfg)
+    return train_ds, modelsel_ds, eval_ds
 
 
 def _epochs_csv(result: TrainResult) -> str:
@@ -220,27 +209,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None) -> RunReport:
 
 
 def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
-    """Materialize the dataset to binary files through the same build,
-    split and noise steps as a run: full.bin holds every mask with its true
-    label; train/modelsel/eval.bin hold the split partitions, train.bin
-    with noise baked in (and the clean labels kept) when noise is
-    configured."""
+    """Materialize the dataset to binary files, holding only the partitions
+    that prepare_data gives a run: train/modelsel/eval.bin are those
+    partitions, train.bin with noise baked in (and the clean labels kept)
+    when noise is configured; full.bin holds every mask with its true
+    label, each partition's rows placed by scene and grid position."""
     if cfg.data.source != "synthetic":
         raise ConfigError("gen-data needs [data] source = synthetic")
     out = resolve_out_dir(cfg.output.dir, out_dir)
     os.makedirs(out, exist_ok=True)
 
+    parts = prepare_data(cfg)
+    g = cfg.data.scene_size // cfg.data.m
+    files = [("full.bin", _write_whole, (parts, g), sum(map(len, parts)), False)]
+    files += [(fname, write_dataset, (part,), len(part), part.clean_labels is not None)
+              for fname, part in zip(("train.bin", "modelsel.bin", "eval.bin"), parts)]
     manifest = {"version": __version__, "m": cfg.data.m, "channels": cfg.data.channels, "files": {}}
-    names = ("full.bin", "train.bin", "modelsel.bin", "eval.bin")
-    for fname, part in zip(names, _build_split_noise(cfg, with_full=True)):
+    for fname, write, args, masks, noisy in files:
         path = os.path.join(out, fname)
-        tmp = path + ".tmp"
-        write_dataset(tmp, part)
-        os.replace(tmp, path)
-        manifest["files"][fname] = {
-            "masks": len(part),
-            "labels_noisy": part.clean_labels is not None,
-        }
+        write(path + ".tmp", *args)
+        os.replace(path + ".tmp", path)
+        manifest["files"][fname] = {"masks": masks, "labels_noisy": noisy}
     _write_atomic(os.path.join(out, "manifest.json"), _json_dumps(manifest))
     return manifest
 

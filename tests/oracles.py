@@ -1,13 +1,16 @@
 """Reference implementations that the package no longer ships, kept as
 independent oracles for the tests."""
 
+import os
+import struct
 from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from canclab import (ConfigError, MaskDataset, NetworkSpec, forward, init_network,
-                     parse_layers, select_clean, sgd_step)
+from canclab import (ConfigError, MaskDataset, NetworkSpec, build_mask_dataset, forward,
+                     generate_scene, init_network, inject, make_transition, parse_layers,
+                     select_clean, sgd_step)
 from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
 from canclab.training import derive_train_seeds
@@ -256,3 +259,36 @@ def build_then_split(scenes, m, tau_label, fractions, seed):
         )
         for idx in _split_indices(whole.scene_ids, fractions, seed)
     )
+
+
+def whole_dataset_gen_data(cfg, out):
+    """gen-data's four files as it once wrote them: the whole mask dataset
+    built first, each partition copied out of it at DataConfig's split
+    indices, label noise injected as prepare_data injects it, and each file
+    written as one array of records, the whole as full.bin.
+
+    Written separately from canclab.harness.gen_data, which writes the
+    partitions that prepare_data builds, in bounded chunks of records, and
+    assembles full.bin from them by scene and grid position.
+    """
+    d, noise = cfg.data, cfg.noise
+    scenes = (generate_scene(d, scene_id=i) for i in range(d.n_scenes))
+    whole = build_mask_dataset(scenes, d.n_scenes, d.m, d.tau_label)
+    train, modelsel, eval_ = (whole.take(idx) for idx in d.split_indices())
+    if noise.type != "none":
+        t = make_transition(noise.type, noise.epsilon)
+        train = inject(train, t, np.random.SeedSequence((noise.seed, 0)))
+        if noise.noise_modelsel:
+            modelsel = inject(modelsel, t, np.random.SeedSequence((noise.seed, 1)))
+    for fname, ds in (("full.bin", whole), ("train.bin", train), ("modelsel.bin", modelsel),
+                      ("eval.bin", eval_)):
+        m, c, n = d.m, d.channels, len(ds)
+        records = np.empty(n, dtype=[("label", "u1"), ("clean", "u1"), ("scene", "<i4"),
+                                     ("row", "<i4"), ("col", "<i4"), ("patch", "<f4", (m, m, c))])
+        records["label"] = ds.labels
+        records["clean"] = 255 if ds.clean_labels is None else ds.clean_labels
+        records["scene"], records["row"], records["col"] = ds.scene_ids, ds.rows, ds.cols
+        records["patch"] = ds.patches
+        with open(os.path.join(out, fname), "wb") as fh:
+            fh.write(struct.pack("<4sIIII", b"CANC", 3, m, c, n))
+            fh.write(records.tobytes())

@@ -90,17 +90,31 @@ def test_summary_counts_a_failed_pair_against_the_win_share(ab):
         10, 11, {"base": 1, "change": 0}, True)
 
 
-
 def test_network_hashes_flag_each_differing_or_missing_network(ab, capsys):
     base = [f"{cell} {net} {'a' * 64}" for cell, *_ in ab.NETWORK_CELLS
             for net in ("best", "final1", "final2")]
     change = base[:4] + [base[4][:-1] + "b"] + base[5:]
     assert [ab.compare_digests(base, side, "networks") for side in (base, change, base[:-1])] == [0, 1, 1]
     out = capsys.readouterr().out
-    assert "networks: 12 lines, 0 differ" in out and out.count("networks: 12 lines, 1 differ") == 2
+    assert "networks: 12 lines, 0 differ, 0 added" in out
+    assert out.count("networks: 12 lines, 1 differ, 0 added") == 2
     assert out.count("DIFF") == 2
     assert f"DIFF  base   {base[4]}\n        change {change[4]}" in out
     assert f"DIFF  base   {base[-1]}\n        change (none)" in out
+
+
+def test_digest_lines_only_the_change_prints_count_as_added(ab, capsys):
+    base = [f"smoke {f} {'a' * 64}" for f in ("epochs.csv", "sp_iou.json", "summary.json")]
+    appended = base + ["late full.bin " + "c" * 64, "late eval.bin " + "d" * 64]
+    changed = base[:1] + [base[1][:-1] + "b"] + base[2:] + appended[3:]
+    assert [ab.compare_digests(base, side) for side in (appended, changed, base[:-1])] == [0, 1, 1]
+    out = capsys.readouterr().out
+    assert out.count("digest: 5 lines, 0 differ, 2 added") == 1
+    assert out.count("digest: 5 lines, 1 differ, 2 added") == 1
+    assert "digest: 3 lines, 1 differ, 0 added" in out
+    assert out.count(f"ADDED change {appended[3]}") == 2
+    assert f"DIFF  base   {base[1]}\n        change {changed[1]}" in out
+    assert f"DIFF  base   {base[2]}\n        change (none)" in out
 
 
 def test_trade_paths_swaps_the_trees_directories(ab, tmp_path):

@@ -38,6 +38,7 @@ from canclab.config import parse_config_text
 from canclab.data import NO_LABEL
 from canclab.harness import parse_grid, prepare_data, resolve_out_dir
 from canclab.training import derive_train_seeds
+from oracles import whole_dataset_gen_data
 
 TINY = """
 [data]
@@ -486,6 +487,25 @@ def test_gen_data_roundtrip(tmp_path):
     assert full.clean_labels is None
     assert len(full) == 6 * (128 // 16) ** 2
     assert json.loads((tmp_path / "manifest.json").read_text())["m"] == 16
+
+
+@pytest.mark.parametrize("ini, noise, noise_modelsel", [
+    ("smoke", "none", False),
+    ("smoke", "symmetric", False),
+    ("smoke", "symmetric", True),
+    # 5,120 records of 4,110 bytes: 20 full write chunks and a partial one
+    ("default", "symmetric", False),
+])
+def test_gen_data_files_equal_the_whole_dataset_writer_byte_for_byte(tmp_path, ini, noise,
+                                                                     noise_modelsel):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{ini}.ini"))
+    cfg = replace(cfg, noise=replace(cfg.noise, type=noise, noise_modelsel=noise_modelsel))
+    for side in ("got", "want"):
+        (tmp_path / side).mkdir()
+    gen_data(cfg, out_dir=str(tmp_path / "got"))
+    whole_dataset_gen_data(cfg, str(tmp_path / "want"))
+    for fname in ("full.bin", "train.bin", "modelsel.bin", "eval.bin"):
+        assert (tmp_path / "got" / fname).read_bytes() == (tmp_path / "want" / fname).read_bytes()
 
 
 def file_source_ini(path):

@@ -51,6 +51,21 @@ def test_prepare_data_holds_its_partitions_and_one_scene():
     assert peak <= held_bytes(parts) + 2 * one_scene, peak / MiB
 
 
+def test_gen_data_holds_its_partitions_and_one_write_chunk(tmp_path):
+    """gen-data writes the partitions prepare_data builds, each file in
+    chunks of about 1 MiB of records, and places full.bin's rows from the
+    partitions by position, so its peak is prepare_data's: the partitions
+    plus one scene, and one write chunk after the scenes are gone. Building
+    the whole dataset next to the partitions and each file as one records
+    array read 60.4 MiB."""
+    cfg = load_config(DEFAULT_INI)
+    parts = prepare_data(cfg)
+    scene = generate_scene(cfg.data)
+    one_scene = scene.image.nbytes + scene.gt.nbytes
+    _, peak = traced_peak(gen_data, cfg, str(tmp_path))
+    assert peak <= held_bytes(parts) + 2 * one_scene + MiB, peak / MiB
+
+
 def test_file_source_prepare_data_widens_only_the_partitions(tmp_path):
     """A file source is split as read, in the file's float32: the peak
     holds the records and the float32 partitions, never the file widened.

@@ -8,10 +8,12 @@ temporary directory, so each side runs from its committed files only. Then
 it does two things:
 
 * It runs tools/report_digest.py in both trees and prints every digest
-  line, flagging each one that differs. Two trees whose reports should
-  agree byte for byte show no flag. With --networks it does the same for
-  the sha256 of the best and final networks of criterion 8's four cells
-  (four full configs/default.ini runs per tree, minutes each).
+  line, flagging each one that differs and each one that only the change
+  prints (added). Two trees whose reports should agree byte for byte show
+  no DIFF flag; only a differing line or one the change lacks makes the
+  exit status 1. With --networks it does the same for the sha256 of the
+  best and final networks of criterion 8's four cells (four full
+  configs/default.ini runs per tree, minutes each).
 * For each workload it runs N pairs of `perfbench/run.py --workload W
   --seed K --seconds S --trace T`, one run per tree, alternating which tree
   goes first, and reads the JSON line each run prints last. Between pairs
@@ -137,17 +139,22 @@ def network_lines(tree: Path) -> list:
 
 
 def compare_digests(base: list, change: list, what: str = "digest") -> int:
-    """Print both trees' digest lines side by side; returns how many differ."""
-    differ = 0
+    """Print both trees' digest lines side by side; returns how many differ.
+    A line that only the change prints (a run its script added) is counted
+    as added, not as differing; a line the change lacks differs."""
+    differ = added = 0
     for i in range(max(len(base), len(change))):
         b = base[i] if i < len(base) else "(none)"
         c = change[i] if i < len(change) else "(none)"
         if b == c:
             print(f"  same  {b}")
+        elif i >= len(base):
+            added += 1
+            print(f"  ADDED change {c}")
         else:
             differ += 1
             print(f"  DIFF  base   {b}\n        change {c}")
-    print(f"{what}: {max(len(base), len(change))} lines, {differ} differ")
+    print(f"{what}: {max(len(base), len(change))} lines, {differ} differ, {added} added")
     return differ
 
 

@@ -29,7 +29,9 @@ line for line with the rest.
 
 Last of all it runs configs/smoke.ini at batch_size = 200, whose first
 batch of 200 rows is forwarded and backpropped as chunks of 128 and 72,
-and prints that run's lines and its two no-train lines in the same way.
+then gen-data of configs/smoke.ini with noise_modelsel = true, whose
+modelsel.bin carries clean labels, and prints those runs' lines and the
+training run's two no-train lines in the same way.
 
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
@@ -108,6 +110,9 @@ def late_runs():
     # 264 training rows: batches of 200 and 64 rows, the first forwarded as
     # chunks of 128 and 72
     yield "smoke_b200", replace(smoke, train=replace(smoke.train, batch_size=200)), "train"
+    # modelsel.bin carries clean labels, which full.bin must take as the truth
+    noisy_modelsel = replace(smoke.noise, noise_modelsel=True)
+    yield "smoke_gen_modelsel", replace(smoke, noise=noisy_modelsel), "datagen"
 
 
 def digest_runs(named_runs):
