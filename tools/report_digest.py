@@ -27,11 +27,12 @@ trees that differ only in the training split's scoring print these lines
 the same. They come last, so a tree whose script lacks them still lines up
 line for line with the rest.
 
-Last of all it runs configs/smoke.ini at batch_size = 200, whose first
-batch of 200 rows is forwarded and backpropped as chunks of 128 and 72,
-then gen-data of configs/smoke.ini with noise_modelsel = true, whose
-modelsel.bin carries clean labels, and prints those runs' lines and the
-training run's two no-train lines in the same way.
+Then it runs configs/smoke.ini at batch_size = 200, whose first batch of
+200 rows is forwarded and backpropped as chunks of 128 and 72, and prints
+that run's lines and its two no-train lines in the same way. Last of all
+it runs gen-data of configs/smoke.ini with noise_modelsel = true, whose
+modelsel.bin carries clean labels that full.bin must take as the truth,
+and prints its five file lines.
 
 Two trees whose runs should agree byte for byte print the same lines, so
 comparing this script's output on both is the check. The BLAS thread count
@@ -104,8 +105,9 @@ def runs():
 
 
 def late_runs():
-    """Runs added after the others, digested after every line of theirs so
-    that a tree whose script lacks them still lines up line for line."""
+    """Runs added after the others, each digested after every line of the
+    runs before it, so that a tree whose script lacks a run still lines up
+    line for line."""
     smoke = load_config(ROOT / "configs" / "smoke.ini")
     # 264 training rows: batches of 200 and 64 rows, the first forwarded as
     # chunks of 128 and 72
@@ -147,7 +149,8 @@ def digest_runs(named_runs):
 
 def main():
     digest_runs(runs())
-    digest_runs(late_runs())
+    for run in late_runs():
+        digest_runs([run])
 
 
 if __name__ == "__main__":
