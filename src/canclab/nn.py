@@ -444,8 +444,15 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
     whole batch; each chunk backprops its slice of it, and the chunks'
     gradients are summed in chunk order. fwd is left as it is, so it can
     be stepped on again.
+
+    A network whose chunks two processes share (training.train) steps on
+    fwd = (logits, chunks, gather) instead: the whole batch's logits, the
+    caches of the chunks forwarded here with None for each of the other's,
+    and gather, which takes the gradients of the chunks backpropped here
+    (None for the other's) and returns every chunk's, so that both
+    processes fold the same sum.
     """
-    logits, chunks = fwd
+    logits, chunks, *gather = fwd
     losses = per_sample_loss(logits, y)
     b, y = len(logits), np.asarray(y, dtype=np.int64)
     if rows is None:
@@ -464,13 +471,19 @@ def loss_and_gradients(net: Network, y, fwd, rows=None):
     dlogits[~chosen] = 0.0
     losses = losses[chosen]
     dlogits /= len(losses)
-    grads, start = None, 0
+    parts, start = [], 0
     for caches in chunks:
-        n = len(caches[0][1])  # each cache entry's array leads with the chunk's rows
-        part = _backward(net, caches, dlogits[start : start + n])
+        # each cache entry's array leads with the chunk's rows; a chunk
+        # forwarded elsewhere that precedes one forwarded here is full
+        n = _CHUNK if caches is None else len(caches[0][1])
+        parts.append(None if caches is None else _backward(net, caches, dlogits[start : start + n]))
         start += n
-        grads = part if grads is None else [
-            (dw + pw, db + pb) for (dw, db), (pw, pb) in zip(grads, part)]
+    if gather:
+        parts = gather[0](parts)
+    grads = parts[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces below as the NumericError
+        for part in parts[1:]:
+            grads = [(dw + pw, db + pb) for (dw, db), (pw, pb) in zip(grads, part)]
     for i, (dw, db) in enumerate(grads):
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericError(f"non-finite gradient in parametric layer {i}", layer=i)

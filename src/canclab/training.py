@@ -12,8 +12,10 @@ Each network's step has two halves: _rank (its forward and per-sample
 losses) and _teach (the sets chosen from its teacher's losses, then its SGD
 step). Selections always use pre-update parameters, so a pair's two updates
 are order-independent and the whole loop is bitwise reproducible from its
-seeds. A pair's halves meet only through the B losses, which is what lets
-train() run each network in its own process.
+seeds. Two networks meet only through their B logits, and the 128-row
+chunks of one network's step only through the logits and a gradient sum
+in chunk order, which is what lets train() split an iteration's
+(network, chunk) forwards across two processes.
 
 Each epoch shuffles the training set once and cuts the permutation into
 batch_size chunks, the last one possibly shorter, so every row is fed
@@ -37,8 +39,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .data import MaskDataset
 from .metrics import PRF1, confusion, prf1
-from .nn import (Network, NetworkSpec, forward, init_network, parse_layers, per_sample_loss,
-                 predict, sgd_step, swap_logits, twin_labels)
+from .nn import (_CHUNK, Network, NetworkSpec, forward, init_network, parse_layers,
+                 per_sample_loss, predict, sgd_step, swap_logits, twin_labels)
 
 ALGORITHMS = ("vanilla", "coteaching", "canc")
 
@@ -215,36 +217,71 @@ def _teach(net: Network, fwd, y, teacher_losses, r: float, s: float, lr: float):
 
 
 class _Alone:
-    """The peer of a process that owns every network: nothing to trade."""
+    """The peer of a process that runs every forward: nothing to trade."""
 
+    half = None
     teaching = False
 
     def trade(self, payload) -> dict:
         return {}
 
 
-def _cross_teach(nets: list, owned: tuple, peer, x, y, r: float, s: float, lr: float):
+def _shares(n_nets: int, b: int, half) -> dict:
+    """Network k -> the rows of a b-row batch that this process forwards.
+    An iteration's forwards are its (network, _CHUNK-row chunk) pairs in
+    that order; a forked pair cuts them into two contiguous halves, the
+    first and larger one the parent's (half 0) and the rest the worker's
+    (half 1), while a process alone (half None) runs them all."""
+    # an empty batch is one chunk, so that forward rejects it
+    units = [(k, j) for k in range(n_nets) for j in range(max(1, -(-b // _CHUNK)))]
+    if half is not None:
+        cut = -(-len(units) // 2)
+        units = units[cut:] if half else units[:cut]
+    spans = {}
+    for k, j in units:
+        spans.setdefault(k, []).append(j)
+    return {k: slice(js[0] * _CHUNK, (js[-1] + 1) * _CHUNK) for k, js in spans.items()}
+
+
+def _cross_teach(nets: list, steps: dict, peer, x, y, r: float, s: float, lr: float):
     """One cross-teaching iteration of nets on the batch (x, y), stepping
-    the networks in owned in place; network k is taught by the losses of
-    network (k + 1) % len(nets). peer trades losses with the process that
-    owns the others. Errors come in the one-process order: the forwards in
-    network order, selection, then the steps in reverse order. Returns each
-    network's (clean, swap) sets by k, which this process chooses itself
-    for a network it does not own, and the rank logits of each owned one."""
-    ranked = {k: _rank(nets[k], x, y) for k in owned}
+    the networks in steps in place; network k is taught by the losses of
+    network (k + 1) % len(nets). This process runs the forwards _shares
+    gives peer.half and trades their logits with peer, which ran the rest.
+    steps[k] is true when peer steps network k too: each process then
+    backprops its own chunks and the pair trades their gradients, so both
+    fold the one-process sum (nn.loss_and_gradients). Errors come in the
+    one-process order: the forwards in (network, chunk) order, selection,
+    then the steps in reverse network order. Returns each network's
+    (clean, swap) sets by k, which this process chooses itself for a
+    network it does not step, and each network's logits."""
+    rows = _shares(len(nets), len(x), peer.half)
+    ranked = {k: _rank(nets[k], x[part], y[part]) for k, part in rows.items()}
+    logits = {k: fwd[0] for k, (fwd, _) in ranked.items()}
     losses = {k: loss for k, (_, loss) in ranked.items()}
-    losses.update(peer.trade(losses))
+    theirs = peer.trade(logits)
     peer.teaching = True
+    for k, z in theirs.items():
+        if k in logits:  # the parent's chunks come first
+            logits[k] = np.concatenate((logits[k], z) if peer.half == 0 else (z, logits[k]))
+        else:
+            logits[k] = z
+        losses[k] = per_sample_loss(logits[k], y)
     teacher = [losses[(k + 1) % len(nets)] for k in range(len(nets))]
     for v in teacher:  # selection's own check, made before any step
         _check_losses(v)
     sets = {}
-    for k in sorted(owned, reverse=True):
-        nets[k], *sets[k] = _teach(nets[k], ranked[k][0], y, teacher[k], r, s, lr)
-    for k in set(range(len(nets))).difference(owned):
+    for k in sorted(steps, reverse=True):
+        chunks = [None] * -(-len(x) // _CHUNK)
+        if k in ranked:
+            j = rows[k].start // _CHUNK
+            chunks[j : j + len(ranked[k][0][1])] = ranked[k][0][1]
+        fwd = (logits[k], chunks, peer.gather) if steps[k] else (logits[k], chunks)
+        nets[k], *sets[k] = _teach(nets[k], fwd, y, teacher[k], r, s, lr)
+    for k in set(range(len(nets))).difference(steps):
         sets[k] = _select_sets(teacher[k], r, s)
     peer.teaching = False
-    return sets, {k: fwd[0] for k, (fwd, _) in ranked.items()}
+    return sets, logits
 
 
 def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
@@ -263,17 +300,15 @@ def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float
     if s > 1.0 - r + 1e-12:
         raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
     nets = [m1, m2]
-    sets, _ = _cross_teach(nets, (0, 1), _Alone(), x, y, r, s, lr)
+    sets, _ = _cross_teach(nets, {0: False, 1: False}, _Alone(), x, y, r, s, lr)
     return nets[0], nets[1], IterationDiag(*sets[1], *sets[0])
 
 
-def dataset_metrics(net: Network, ds: MaskDataset, twin: bool = False):
-    """Metrics of one network against the dataset's stored labels. With
-    twin, the pair of net's and swap_logits(net)'s metrics, both read from
-    one chunked forward of net (see predict)."""
-    if twin:
-        return tuple(prf1(confusion(ds.labels, p)) for p in predict(net, ds.patches, twin=True))
-    return prf1(confusion(ds.labels, predict(net, ds.patches)))
+def dataset_metrics(net: Network, ds: MaskDataset) -> tuple:
+    """The metrics of net and of swap_logits(net) against the dataset's
+    stored labels, both read from one chunked forward of net (see
+    predict)."""
+    return tuple(prf1(confusion(ds.labels, p)) for p in predict(net, ds.patches, twin=True))
 
 
 def derive_train_seeds(seed: int) -> tuple:
@@ -307,16 +342,24 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     never feeds back into training: final_networks and every selection and
     swap are the same as without it.
 
-    With two networks, at least two CPUs, the fork start method and a
-    process that is not daemonic (a daemonic one, such as a
-    multiprocessing.Pool worker, may have no children), a forked worker
-    process owns network 2 and this one network 1. They run
-    the same loop in lockstep: each iteration they trade their B losses,
-    and once each epoch their networks with their model-selection and
-    training-split scores. While they run, each caps OpenBLAS at half the
-    CPUs. Elsewhere one process owns both. The results are the same bit
-    for bit, errors included: a run raises the error that one process
-    would raise first, and no process outlives it.
+    With more than one (network, 128-row chunk) forward an iteration (two
+    networks, or one whose batches exceed 128 rows), at least two CPUs, the
+    fork start method and a process that is not daemonic (a daemonic one,
+    such as a multiprocessing.Pool worker, may have no children), a forked
+    worker process runs the second half of each iteration's forwards and
+    this one the first, in (network, chunk) order: network 2 and network
+    1 of a pair, or the last floor(c/2) and the first ceil(c/2) of one
+    network's c chunks, so a batch of one chunk is all this process's. The
+    two run the same loop in lockstep. Each iteration they trade their
+    logits; both then choose every selection. A network split between
+    them is stepped in both: each backprops its own chunks, they trade the
+    chunks' gradients, and both add them up in chunk order and apply the
+    same update. Once each epoch they trade their networks with the
+    model-selection and training-split scores of the networks whose first
+    chunk they forward. While they run, each caps OpenBLAS at half the
+    CPUs. Elsewhere one process runs every forward. The results are the
+    same bit for bit, errors included: a run raises the error that one
+    process would raise first, and no process outlives it.
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
@@ -329,20 +372,21 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     job = (train_ds, modelsel_ds, config, nets, shuffle_rng)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     daemon = multiprocessing.current_process().daemon  # a daemonic process may not fork
-    if len(nets) == 1 or cpus < 2 or daemon or "fork" not in multiprocessing.get_all_start_methods():
-        return _train_loop(*job, tuple(range(len(nets))), _Alone())
+    forwards = len(nets) * -(-min(config.batch_size, len(train_ds)) // _CHUNK)  # of a full batch
+    if forwards < 2 or cpus < 2 or daemon or "fork" not in multiprocessing.get_all_start_methods():
+        return _train_loop(*job, _Alone())
 
     # fork, not spawn: the worker shares the datasets copy-on-write and
     # inherits this process's state; OpenBLAS rebuilds its threads in it
     ctx = multiprocessing.get_context("fork")
     link, far_end = ctx.Pipe()
-    peer = _Peer(link, sends_first=True)
+    peer = _Peer(link, half=0)
     with _blas_threads_at_most(max(1, cpus // 2)):
         worker = ctx.Process(target=_worker, args=(job, far_end, link), daemon=True)
         worker.start()
         far_end.close()
         try:
-            return _train_loop(*job, (0,), peer)
+            return _train_loop(*job, peer)
         except _Failure as failed:
             raise failed.error from None
         except Exception as exc:
@@ -356,12 +400,12 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
 
 
 def _worker(job: tuple, conn, parent_end):
-    """Network 2's owner in a forked pair. An error it raises goes to the
-    parent in place of its next payload, and it then exits quietly."""
+    """The second half's process in a forked pair. An error it raises goes
+    to the parent in place of its next payload, and it then exits quietly."""
     parent_end.close()  # else the parent's exit would not end conn
-    peer = _Peer(conn, sends_first=False)
+    peer = _Peer(conn, half=1)
     try:
-        _train_loop(*job, (1,), peer)
+        _train_loop(*job, peer)
     except _Failure:
         pass  # the parent failed first and already holds this process's payload
     except Exception as exc:  # noqa: BLE001 - the parent raises it or an earlier one
@@ -382,17 +426,18 @@ class _Failure(Exception):
 
 
 class _Peer:
-    """The other process of a forked pair, in lockstep with this one. The
-    parent sends before it receives and the worker after, so the two never
+    """The other process of a forked pair, in lockstep with this one; half
+    is this process's half of the forwards (see _shares). The parent (half
+    0) sends before it receives and the worker after, so the two never
     both wait to send on a full pipe."""
 
-    teaching = False  # set by _cross_teach between the loss trade and the steps
+    teaching = False  # set by _cross_teach between the logit trade and the steps
 
-    def __init__(self, conn, sends_first: bool):
-        self.conn, self.sends_first = conn, sends_first
+    def __init__(self, conn, half: int):
+        self.conn, self.half = conn, half
 
     def _swap(self, payload):
-        if self.sends_first:
+        if self.half == 0:
             self.conn.send(payload)
             return self.conn.recv()
         theirs = self.conn.recv()
@@ -409,6 +454,11 @@ class _Peer:
         if isinstance(theirs, _Failure):
             raise theirs
         return theirs
+
+    def gather(self, parts: list) -> list:
+        """Every chunk's gradients of a step on a network that both
+        processes step, from this process's (None for the peer's chunks)."""
+        return [mine if mine is not None else peers for mine, peers in zip(parts, self.trade(parts))]
 
     def report(self, error: Exception):
         """Send error as this process's failure at the next trade; returns
@@ -453,13 +503,19 @@ def _blas_threads_at_most(n: int):
             calls[1](old)
 
 
-def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -> TrainResult:
-    """train()'s loop over the networks in owned, trading with peer for
-    the others; every process of a run returns the same result."""
+def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, peer) -> TrainResult:
+    """train()'s loop over peer.half's forwards (_shares), trading with
+    peer for the others; every process of a run returns the same result.
+    A process steps each network it forwards a chunk of in a full batch,
+    and scores each network whose first chunk it forwards."""
     n = len(train_ds)
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
-    seen = {k: np.empty((2, n), dtype=np.int64) for k in owned}  # per-row twin_labels
+    full = min(config.batch_size, n)
+    other = {} if peer.half is None else _shares(len(nets), full, 1 - peer.half)
+    steps = {k: k in other for k in _shares(len(nets), full, peer.half)}
+    # per-row twin_labels of each network scored here, whose first chunk is this process's
+    seen = {k: np.empty((2, n), dtype=np.int64) for k in _shares(len(nets), 1, peer.half)}
 
     best_net, best_epoch, best_acc = nets[0], -1, -np.inf
     records = []
@@ -478,9 +534,9 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
-            sets, logits = _cross_teach(nets, owned, peer, x, y, r, s_eff, config.lr)
-            for k, z in logits.items():
-                seen[k][:, idx] = twin_labels(z)
+            sets, logits = _cross_teach(nets, steps, peer, x, y, r, s_eff, config.lr)
+            for k in seen:
+                seen[k][:, idx] = twin_labels(logits[k])
             n_clean += sum(len(clean) for clean, _ in sets.values())
             swapped_local = np.concatenate([swap for _, swap in sets.values()])
             n_swapped += swapped_local.size
@@ -495,8 +551,8 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, owned, peer) -
         # epoch bookkeeping: score both networks on the model-selection
         # split up to polarity (tie -> network 1), then read the pick
         # through its swapped logits if that scores higher
-        scored = {k: (nets[k], dataset_metrics(nets[k], modelsel_ds, twin=True),
-                      tuple(prf1(confusion(train_ds.labels, p)) for p in seen[k])) for k in owned}
+        scored = {k: (nets[k], dataset_metrics(nets[k], modelsel_ds),
+                      tuple(prf1(confusion(train_ds.labels, p)) for p in seen[k])) for k in seen}
         scored.update(peer.trade(scored))
         ordered = [scored[k] for k in range(len(nets))]
         nets[:] = [net for net, _, _ in ordered]

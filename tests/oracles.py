@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from canclab import (ConfigError, MaskDataset, NetworkSpec, build_mask_dataset, forward,
-                     generate_scene, init_network, inject, make_transition, parse_layers,
-                     select_clean, sgd_step)
+from canclab import (ConfigError, MaskDataset, NetworkSpec, build_mask_dataset, confusion,
+                     forward, generate_scene, init_network, inject, make_transition,
+                     parse_layers, predict, prf1, select_clean, sgd_step)
 from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
 from canclab.training import derive_train_seeds
@@ -50,6 +50,16 @@ def coteaching_teach(net, fwd, y, peer_losses, r, s, lr):
     assert s == 0.0, "the co-teaching oracle has no swap step"
     clean = select_clean(peer_losses, r)
     return sgd_step(net, y, fwd, lr, clean), clean, np.empty(0, dtype=np.int64)
+
+
+def network_metrics(net, ds):
+    """The metrics of one network's predictions against the dataset's
+    stored labels.
+
+    Written separately from canclab.training.dataset_metrics, which scores
+    a network and its swap_logits twin from one forward.
+    """
+    return prf1(confusion(ds.labels, predict(net, ds.patches)))
 
 
 def vanilla_replay(train_ds, config):

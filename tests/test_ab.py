@@ -96,8 +96,8 @@ def test_network_hashes_flag_each_differing_or_missing_network(ab, capsys):
     change = base[:4] + [base[4][:-1] + "b"] + base[5:]
     assert [ab.compare_digests(base, side, "networks") for side in (base, change, base[:-1])] == [0, 1, 1]
     out = capsys.readouterr().out
-    assert "networks: 12 lines, 0 differ, 0 added" in out
-    assert out.count("networks: 12 lines, 1 differ, 0 added") == 2
+    assert "networks: 15 lines, 0 differ, 0 added" in out
+    assert out.count("networks: 15 lines, 1 differ, 0 added") == 2
     assert out.count("DIFF") == 2
     assert f"DIFF  base   {base[4]}\n        change {change[4]}" in out
     assert f"DIFF  base   {base[-1]}\n        change (none)" in out

@@ -681,17 +681,23 @@ def test_cli_config_error_exit_2(tmp_path):
     assert "configuration error" in proc.stderr
 
 
-@pytest.mark.parametrize("algo", ["canc", "vanilla"])
-def test_cli_numeric_error_exit_4_prints_only_its_line(tmp_path, algo):
+@pytest.mark.parametrize("algo, batch_size", [
+    pytest.param("canc", 32, id="canc"),
+    pytest.param("vanilla", 32, id="vanilla"),
+    # the smoke config's 264 training rows at B=256: the pair splits the first batch's two chunks
+    pytest.param("vanilla", 256, id="vanilla-b256"),
+])
+def test_cli_numeric_error_exit_4_prints_only_its_line(tmp_path, algo, batch_size):
     """An overflowing step exits 4 with canclab's one line on stderr and no
     numpy warning before it, also from a forked pair's worker."""
     smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.ini")
     with open(smoke, encoding="utf-8") as fh:
         text = fh.read()
-    assert "lr = 0.05\n" in text and "algo = canc\n" in text
+    assert "lr = 0.05\n" in text and "algo = canc\n" in text and "batch_size = 32\n" in text
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text.replace("lr = 0.05\n", "lr = 1e300\n")
-                        .replace("algo = canc\n", f"algo = {algo}\n"))
+                        .replace("algo = canc\n", f"algo = {algo}\n")
+                        .replace("batch_size = 32\n", f"batch_size = {batch_size}\n"))
     proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")],
                    env_extra={"PYTHONWARNINGS": "default"})
     assert proc.returncode == 4, proc.stderr

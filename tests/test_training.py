@@ -1,9 +1,11 @@
 """Training loop tests: schedule, selection oracles, label flipping, the
 cross-teaching iterations, and the full train() contract."""
 
+import json
 import math
 import multiprocessing
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +37,8 @@ from canclab import (
 from canclab import nn, training
 from canclab.config import load_config
 from canclab.harness import prepare_data
-from oracles import coteaching_teach, gather_and_forward_step, vanilla_replay, zeroed
+from oracles import (coteaching_teach, gather_and_forward_step, network_metrics, vanilla_replay,
+                     zeroed)
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -580,8 +583,8 @@ def test_train_row_replays_the_rank_forwards(monkeypatch, algo, inverted):
         logits[1 if net.spec.seed == seed_1 else 2].append(fwd[0])
         return fwd
 
-    def recording_metrics(net, ds, twin=False):
-        out = real_metrics(net, ds, twin)
+    def recording_metrics(net, ds):
+        out = real_metrics(net, ds)
         accuracy[1 if net.spec.seed == seed_1 else 2].append(out[0].accuracy)
         return out
 
@@ -628,13 +631,13 @@ def test_twin_metrics_from_logits_equal_the_twin_forwards(b):
         labels, twin_labels = predict(net, ds.patches, twin=True)
         assert np.array_equal(twin_labels, predict(swap_logits(net), ds.patches))
         both_classes += 0 < labels.sum() < b
-        want = (dataset_metrics(net, ds), dataset_metrics(swap_logits(net), ds))
-        assert repr(dataset_metrics(net, ds, twin=True)) == repr(want)
+        want = (network_metrics(net, ds), network_metrics(swap_logits(net), ds))
+        assert repr(dataset_metrics(net, ds)) == repr(want)
     assert b == 1 or both_classes > 0
     tied = replace(net, params=net.params[:-1] + (tuple(map(np.zeros_like, net.params[-1])),))
     assert np.all(predict(tied, ds.patches, twin=True) == 0)
-    want = (dataset_metrics(swap_logits(tied), ds),) * 2
-    assert repr(dataset_metrics(tied, ds, twin=True)) == repr(want)
+    want = (network_metrics(swap_logits(tied), ds),) * 2
+    assert repr(dataset_metrics(tied, ds)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +701,125 @@ def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
     assert set(forked_seen) == {(os.getpid(), seed_1, threads[0])}
     assert set(seen[len(forked_seen):]) == {(os.getpid(), seed, threads[1]) for seed in (seed_1, seed_2)}
     assert restored == threads[1]
+
+
+def split_halves(batch):
+    """The parent's and the worker's rows of one network's batch: the
+    first ceil(c/2) of its c chunks, then the rest."""
+    chunks = -(-len(batch) // nn._CHUNK)
+    cut = -(-chunks // 2) * nn._CHUNK
+    return batch[:cut], batch[cut:]
+
+
+@pytest.mark.parametrize("b, n", [
+    (256, 2 * 256 + 5),  # the last batch is 5 rows, one chunk, all the parent's
+    (200, PAIR_ROWS),  # a 128 + 72 split, then a last batch of 61 rows
+])
+def test_split_network_matches_one_process_bit_for_bit(monkeypatch, tmp_path, b, n):
+    """Vanilla's one network at B > 128 splits each batch's chunks across
+    the forked pair. The parent trades the logits and the chunks'
+    gradients once each an iteration, and its network and scores once an
+    epoch, and the run is the one-process run bit for bit."""
+    ds = toy_dataset(n=n, seed=8, noisy=True)
+    cfg = base_config(algo="vanilla", t_max=3, batch_size=b)
+    row_of = {ds.patches[i].tobytes(): i for i in range(n)}
+    blas = training._openblas_threads()
+    log = tmp_path / "ranks"  # both processes append (pid, BLAS threads, rows) of each rank
+    real_rank, real_trade, trades = training._rank, training._Peer.trade, []
+
+    def rank(net, x, y):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), blas[0]() if blas else None,
+                                 [row_of[p.tobytes()] for p in x]]) + "\n")
+        return real_rank(net, x, y)
+
+    def trade(peer, payload):
+        trades.append(payload)  # the worker's trades land in its own copy
+        return real_trade(peer, payload)
+
+    monkeypatch.setattr(training, "_rank", rank)
+    monkeypatch.setattr(training._Peer, "trade", trade)
+    old = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](2)
+        forked = run_pair(monkeypatch, ds, cfg, 2)
+        restored = blas[0]() if blas else None
+        forked_ranks = [json.loads(line) for line in log.read_text().splitlines()]
+        log.unlink()
+        one = run_pair(monkeypatch, ds, cfg, 1)
+        one_ranks = [json.loads(line) for line in log.read_text().splitlines()]
+    finally:
+        if blas:
+            blas[1](old)
+    assert repr(forked.records) == repr(one.records)
+    assert (forked.best_epoch, forked.best_accuracy) == (one.best_epoch, one.best_accuracy)
+    assert len(forked.final_networks) == 1
+    for got, want in zip((forked.best_network, *forked.final_networks),
+                         (one.best_network, *one.final_networks)):
+        assert network_bytes(got) == network_bytes(want)
+    assert len(trades) == cfg.t_max * (2 * -(-n // b) + 1)
+    # the parent forwarded the first half of each batch and the worker the
+    # rest, each at one BLAS thread of two; one process forwarded it all at two
+    rng = np.random.default_rng(training.derive_train_seeds(cfg.seed)[0])
+    batches = [perm[start : start + b].tolist() for perm in (rng.permutation(n) for _ in range(cfg.t_max))
+               for start in range(0, n, b)]
+    halves = [split_halves(batch) for batch in batches]
+    threads = (1, 2) if blas else (None, None)
+    parent = os.getpid()
+    assert [rows for pid, _, rows in forked_ranks if pid == parent] == [first for first, _ in halves]
+    assert [rows for pid, _, rows in forked_ranks if pid != parent] == [rest for _, rest in halves if rest]
+    assert len({pid for pid, _, _ in forked_ranks}) == 2
+    assert {blas_threads for _, blas_threads, _ in forked_ranks} == {threads[0]}
+    assert one_ranks == [[parent, threads[1], batch] for batch in batches]
+    assert restored == threads[1]
+
+
+@pytest.mark.parametrize("bad, raised", [
+    ((200,), 200),  # in the worker's half alone
+    ((5, 200), 5),  # in both halves: the parent's chunk comes first
+])
+def test_split_network_raises_the_one_process_forward_error(monkeypatch, bad, raised):
+    """A chunk forward that fails, here at the rows at positions bad of the
+    first batch, raises the error of the first failing chunk, as one
+    process does. At B=256 the parent forwards rows 0-127 of a batch and
+    the worker rows 128-255."""
+    ds = toy_dataset(n=2 * 256 + 5, seed=8, noisy=True)
+    cfg = base_config(algo="vanilla", t_max=1, batch_size=256)
+    perm = np.random.default_rng(training.derive_train_seeds(cfg.seed)[0]).permutation(len(ds))
+    marked = {ds.patches[perm[i]].tobytes(): perm[i] for i in bad}
+    real_forward = nn._forward
+
+    def forward(net, x):
+        hits = [marked[p.tobytes()] for p in x if p.tobytes() in marked]
+        if hits:
+            raise NumericError(f"non-finite activations in the chunk of row {hits[0]}")
+        return real_forward(net, x)
+
+    monkeypatch.setattr(nn, "_forward", forward)
+    forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
+    assert isinstance(one, NumericError) and str(one).endswith(f"row {perm[raised]}")
+    assert isinstance(forked, NumericError) and str(forked) == str(one)
+
+
+def test_split_network_raises_the_one_process_error_of_a_non_finite_sum(monkeypatch):
+    """Every chunk's dense dW is finite, 1e308 in each entry, but the sum of
+    two chunks' overflows. Both processes of the pair fold the traded
+    gradients and raise one process's NumericError, with no numpy warning."""
+    ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
+    cfg = base_config(algo="vanilla", t_max=1, batch_size=256)
+    real_backward = nn._backward
+
+    def backward(net, caches, dlogits):
+        grads = real_backward(net, caches, dlogits)
+        return grads[:-1] + [(np.full_like(grads[-1][0], 1e308), grads[-1][1])]
+
+    monkeypatch.setattr(nn, "_backward", backward)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the worker inherits the filter
+        forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
+    assert isinstance(one, NumericError) and str(one) == "non-finite gradient in parametric layer 1"
+    assert isinstance(forked, NumericError) and str(forked) == str(one)
 
 
 def test_forked_pair_trades_once_per_iteration_and_once_per_epoch(monkeypatch):

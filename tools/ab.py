@@ -12,8 +12,9 @@ it does two things:
   prints (added). Two trees whose reports should agree byte for byte show
   no DIFF flag; only a differing line or one the change lacks makes the
   exit status 1. With --networks it does the same for the sha256 of the
-  best and final networks of criterion 8's four cells (four full
-  configs/default.ini runs per tree, minutes each).
+  best and final networks of criterion 8's four cells and of a vanilla
+  cell at batch_size 512 (five full configs/default.ini runs per tree,
+  minutes each).
 * For each workload it runs N pairs of `perfbench/run.py --workload W
   --seed K --seconds S --trace T`, one run per tree, alternating which tree
   goes first, and reads the JSON line each run prints last. Between pairs
@@ -100,12 +101,15 @@ def digest_lines(tree: Path) -> list:
     return proc.stdout.splitlines()
 
 
-# criterion 8's cells as tests/test_acceptance.py runs them: (name, algo, noise, epsilon)
+# (name, algo, noise, epsilon, batch_size): criterion 8's cells as
+# tests/test_acceptance.py runs them, then one whose batches of four 128-row
+# chunks the forked pair splits
 NETWORK_CELLS = (
-    ("sym_canc", "canc", "symmetric", 0.55),
-    ("sym_vanilla", "vanilla", "symmetric", 0.55),
-    ("anti_canc", "canc", "antisymmetric", 0.45),
-    ("anti_coteaching", "coteaching", "antisymmetric", 0.45),
+    ("sym_canc", "canc", "symmetric", 0.55, 64),
+    ("sym_vanilla", "vanilla", "symmetric", 0.55, 64),
+    ("anti_canc", "canc", "antisymmetric", 0.45, 64),
+    ("anti_coteaching", "coteaching", "antisymmetric", 0.45, 64),
+    ("sym_vanilla_b512", "vanilla", "symmetric", 0.55, 512),
 )
 
 # run in a tree with the cells as JSON in argv[1]; prints "<cell> <network> <sha256>"
@@ -117,9 +121,9 @@ from canclab import train
 from canclab.config import load_config
 from canclab.harness import prepare_data
 base = load_config("configs/default.ini")
-for cell, algo, kind, eps in json.loads(sys.argv[1]):
+for cell, algo, kind, eps, batch_size in json.loads(sys.argv[1]):
     cfg = replace(base, noise=replace(base.noise, type=kind, epsilon=eps),
-                  train=replace(base.train, algo=algo))
+                  train=replace(base.train, algo=algo, batch_size=batch_size))
     res = train(*prepare_data(cfg)[:2], cfg.train)
     named = [("best", res.best_network)]
     named += [(f"final{i + 1}", net) for i, net in enumerate(res.final_networks)]
