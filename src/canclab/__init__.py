@@ -49,7 +49,6 @@ from .training import (
     EpochRecord,
     TrainConfig,
     TrainResult,
-    canc_iteration,
     dataset_metrics,
     flip_labels,
     remember_rate,

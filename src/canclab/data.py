@@ -68,7 +68,8 @@ class DataConfig:
     noise knobs; all ranges are inclusive and are checked here (the
     intensities inside [0, 1]), and so are channels >= 1, tau_label in
     (0, 1), that m divides scene_size and that the split leaves no
-    partition empty. Either source needs seed >= 0."""
+    partition empty. Either source needs seed >= 0 and split fractions
+    > 0 that sum to 1."""
 
     source: str = "synthetic"
     path: str = ""
@@ -90,6 +91,7 @@ class DataConfig:
             raise ConfigError(f"data source must be synthetic or file, got {self.source!r}")
         if any(f <= 0 for f in self.split):
             raise ConfigError(f"split fractions must all be > 0, got {self.split}")
+        _split_fractions(self.split)
         if self.seed < 0:
             raise ConfigError(f"[data] seed must be >= 0, got {self.seed}")
         if self.source == "file":
@@ -321,16 +323,22 @@ def split_dataset(ds: MaskDataset, fractions, seed: int):
     return tuple(ds.take(idx) for idx in _split_indices(ds.scene_ids, fractions, seed))
 
 
-def _split_indices(scene_ids, fractions, seed: int):
-    """split_dataset on the masks' scene ids alone: the sorted (train,
-    modelsel, eval) row indices. DataConfig.split_indices runs it on a
-    synthetic source's scene ids, at load and for the build."""
+def _split_fractions(fractions) -> tuple:
+    """The (train, modelsel, eval) fractions as floats: three non-negative
+    numbers that sum to 1. DataConfig checks its split with it at load."""
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0 for x in f):
         raise ConfigError(f"fractions must be three non-negative numbers, got {fractions}")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {sum(f)}")
-    f_train, f_modelsel, f_eval = f
+    return f
+
+
+def _split_indices(scene_ids, fractions, seed: int):
+    """split_dataset on the masks' scene ids alone: the sorted (train,
+    modelsel, eval) row indices. DataConfig.split_indices runs it on a
+    synthetic source's scene ids, at load and for the build."""
+    f_train, f_modelsel, f_eval = _split_fractions(fractions)
     rng = np.random.default_rng(seed)
 
     scenes = np.unique(scene_ids)

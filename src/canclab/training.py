@@ -7,7 +7,7 @@ losses of network (k + 1) % len(nets), its peer in a pair or itself when
 alone. Those losses pick the low-loss fraction R as presumed-clean and the
 top-loss fraction S, whose binary labels flip, for one SGD step on their
 union. Vanilla is one network at R = 1, S = 0, co-teaching a pair at S = 0
-and CANC a pair at the configured S; canc_iteration is the pair's step.
+and CANC a pair at the configured S; canc_iteration is the loop's step.
 Each network's step has two halves: _rank (its forward and per-sample
 losses) and _teach (the sets chosen from its teacher's losses, then its SGD
 step). Selections always use pre-update parameters, so a pair's two updates
@@ -15,7 +15,9 @@ are order-independent and the whole loop is bitwise reproducible from its
 seeds. Two networks meet only through their B logits, and the 128-row
 chunks of one network's step only through the logits and a gradient sum
 in chunk order, which is what lets train() split an iteration's
-(network, chunk) forwards across two processes.
+(network, chunk) forwards across two processes. The one-process loop is
+the reference: when either process of the pair fails, train() reruns the
+job in one process, which returns its result or raises its error.
 
 Each epoch shuffles the training set once and cuts the permutation into
 batch_size chunks, the last one possibly shorter, so every row is fed
@@ -114,20 +116,6 @@ class EpochRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class IterationDiag:
-    """Batch-local index sets chosen in one cross-teaching iteration.
-
-    clean_for_m2/swap_for_m2 were selected by network 1 (they update
-    network 2), and vice versa.
-    """
-
-    clean_for_m2: np.ndarray
-    swap_for_m2: np.ndarray
-    clean_for_m1: np.ndarray
-    swap_for_m1: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class TrainResult:
     best_network: Network
     best_epoch: int
@@ -220,7 +208,6 @@ class _Alone:
     """The peer of a process that runs every forward: nothing to trade."""
 
     half = None
-    teaching = False
 
     def trade(self, payload) -> dict:
         return {}
@@ -243,25 +230,23 @@ def _shares(n_nets: int, b: int, half) -> dict:
     return {k: slice(js[0] * _CHUNK, (js[-1] + 1) * _CHUNK) for k, js in spans.items()}
 
 
-def _cross_teach(nets: list, steps: dict, peer, x, y, r: float, s: float, lr: float):
+def canc_iteration(nets: list, steps: dict, x, y, r: float, s: float, lr: float, peer):
     """One cross-teaching iteration of nets on the batch (x, y), stepping
     the networks in steps in place; network k is taught by the losses of
     network (k + 1) % len(nets). This process runs the forwards _shares
     gives peer.half and trades their logits with peer, which ran the rest.
     steps[k] is true when peer steps network k too: each process then
     backprops its own chunks and the pair trades their gradients, so both
-    fold the one-process sum (nn.loss_and_gradients). Errors come in the
-    one-process order: the forwards in (network, chunk) order, selection,
-    then the steps in reverse network order. Returns each network's
+    fold the one-process sum (nn.loss_and_gradients). Errors come in this
+    order: the forwards in (network, chunk) order, selection, then the
+    steps in reverse network order. Returns each network's
     (clean, swap) sets by k, which this process chooses itself for a
     network it does not step, and each network's logits."""
     rows = _shares(len(nets), len(x), peer.half)
     ranked = {k: _rank(nets[k], x[part], y[part]) for k, part in rows.items()}
     logits = {k: fwd[0] for k, (fwd, _) in ranked.items()}
     losses = {k: loss for k, (_, loss) in ranked.items()}
-    theirs = peer.trade(logits)
-    peer.teaching = True
-    for k, z in theirs.items():
+    for k, z in peer.trade(logits).items():
         if k in logits:  # the parent's chunks come first
             logits[k] = np.concatenate((logits[k], z) if peer.half == 0 else (z, logits[k]))
         else:
@@ -280,28 +265,7 @@ def _cross_teach(nets: list, steps: dict, peer, x, y, r: float, s: float, lr: fl
         nets[k], *sets[k] = _teach(nets[k], fwd, y, teacher[k], r, s, lr)
     for k in set(range(len(nets))).difference(steps):
         sets[k] = _select_sets(teacher[k], r, s)
-    peer.teaching = False
     return sets, logits
-
-
-def canc_iteration(m1: Network, m2: Network, x, y, r: float, s: float, lr: float):
-    """One cross-teaching step with active label swapping on the batch
-    (x, y).
-
-    Each network ranks the batch by its own per-sample loss on the labels
-    as given, takes the low-loss fraction r as clean and the top-loss
-    fraction s for flipping, and the peer does one SGD step on the union:
-    the mean cross-entropy over those rows of the peer's own ranking
-    forward, swapped rows against their flipped labels. Both rankings use
-    pre-update parameters, and each network runs one forward. s must not
-    exceed 1 - r; at s = 1 - r the sets can still collide on loss ties,
-    and any collision resolves in favor of the swap.
-    """
-    if s > 1.0 - r + 1e-12:
-        raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
-    nets = [m1, m2]
-    sets, _ = _cross_teach(nets, {0: False, 1: False}, _Alone(), x, y, r, s, lr)
-    return nets[0], nets[1], IterationDiag(*sets[1], *sets[0])
 
 
 def dataset_metrics(net: Network, ds: MaskDataset) -> tuple:
@@ -357,22 +321,20 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     same update. Once each epoch they trade their networks with the
     model-selection and training-split scores of the networks whose first
     chunk they forward. While they run, each caps OpenBLAS at half the
-    CPUs. Elsewhere one process runs every forward. The results are the
-    same bit for bit, errors included: a run raises the error that one
-    process would raise first, and no process outlives it.
+    CPUs. Elsewhere one process runs every forward, and the results are
+    the same bit for bit. If either process of the pair raises or dies,
+    this one ends the pair and reruns the job alone, which returns the
+    one-process result or raises the one-process error; a failing run thus
+    pays its pair's partial run as well. No process outlives train().
     """
     if len(train_ds) == 0 or len(modelsel_ds) == 0:
         raise ConfigError("train and model-selection sets must be non-empty")
-    shuffle_seed, init_seed_1, init_seed_2 = derive_train_seeds(config.seed)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     spec = NetworkSpec(train_ds.m, train_ds.channels, parse_layers(config.network))
-    nets = [init_network(replace(spec, seed=init_seed_1))]
-    if config.algo != "vanilla":
-        nets.append(init_network(replace(spec, seed=init_seed_2)))
-    job = (train_ds, modelsel_ds, config, nets, shuffle_rng)
+    init_seeds = derive_train_seeds(config.seed)[1 : 2 if config.algo == "vanilla" else 3]
+    job = (train_ds, modelsel_ds, config, [replace(spec, seed=seed) for seed in init_seeds])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     daemon = multiprocessing.current_process().daemon  # a daemonic process may not fork
-    forwards = len(nets) * -(-min(config.batch_size, len(train_ds)) // _CHUNK)  # of a full batch
+    forwards = len(init_seeds) * -(-min(config.batch_size, len(train_ds)) // _CHUNK)  # of a full batch
     if forwards < 2 or cpus < 2 or daemon or "fork" not in multiprocessing.get_all_start_methods():
         return _train_loop(*job, _Alone())
 
@@ -380,63 +342,44 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
     # inherits this process's state; OpenBLAS rebuilds its threads in it
     ctx = multiprocessing.get_context("fork")
     link, far_end = ctx.Pipe()
-    peer = _Peer(link, half=0)
     with _blas_threads_at_most(max(1, cpus // 2)):
         worker = ctx.Process(target=_worker, args=(job, far_end, link), daemon=True)
         worker.start()
         far_end.close()
         try:
-            return _train_loop(*job, peer)
-        except _Failure as failed:
-            raise failed.error from None
-        except Exception as exc:
-            theirs = peer.report(exc)
-            if isinstance(theirs, _Failure) and theirs.early:
-                raise theirs.error from None
-            raise
+            return _train_loop(*job, _Peer(link, half=0))
+        except Exception:  # noqa: BLE001 - either process raised, or the worker is gone
+            pass
         finally:
             link.close()
             worker.join()
+    return _train_loop(*job, _Alone())
 
 
 def _worker(job: tuple, conn, parent_end):
-    """The second half's process in a forked pair. An error it raises goes
-    to the parent in place of its next payload, and it then exits quietly."""
+    """The second half's process in a forked pair. If its loop raises, it
+    exits quietly; the parent sees the pipe close and reruns the job."""
     parent_end.close()  # else the parent's exit would not end conn
-    peer = _Peer(conn, half=1)
     try:
-        _train_loop(*job, peer)
-    except _Failure:
-        pass  # the parent failed first and already holds this process's payload
-    except Exception as exc:  # noqa: BLE001 - the parent raises it or an earlier one
-        peer.report(exc)
+        _train_loop(*job, _Peer(conn, half=1))
+    except Exception:  # noqa: BLE001 - the parent's rerun raises the one-process error
+        pass
     finally:
         conn.close()
-
-
-class _Failure(Exception):
-    """Sent in place of a process's next payload once it has raised error.
-    early marks an error from selection or the sender's own step: in the
-    one-process order it precedes anything the receiver raised since the
-    last trade, while an error from the sender's next forward follows it."""
-
-    def __init__(self, error: Exception, early: bool):
-        super().__init__(error, early)
-        self.error, self.early = error, early
 
 
 class _Peer:
     """The other process of a forked pair, in lockstep with this one; half
     is this process's half of the forwards (see _shares). The parent (half
     0) sends before it receives and the worker after, so the two never
-    both wait to send on a full pipe."""
-
-    teaching = False  # set by _cross_teach between the logit trade and the steps
+    both wait to send on a full pipe. Once the other process has failed,
+    a trade raises EOFError or OSError."""
 
     def __init__(self, conn, half: int):
         self.conn, self.half = conn, half
 
-    def _swap(self, payload):
+    def trade(self, payload):
+        """This process's payload out, the peer's back."""
         if self.half == 0:
             self.conn.send(payload)
             return self.conn.recv()
@@ -444,29 +387,10 @@ class _Peer:
         self.conn.send(payload)
         return theirs
 
-    def trade(self, payload: dict) -> dict:
-        """This process's payload out, the peer's back; raises the peer's
-        _Failure if it sent one."""
-        try:
-            theirs = self._swap(payload)
-        except (EOFError, OSError) as exc:
-            raise RuntimeError("the other process of the training pair has exited") from exc
-        if isinstance(theirs, _Failure):
-            raise theirs
-        return theirs
-
     def gather(self, parts: list) -> list:
         """Every chunk's gradients of a step on a network that both
         processes step, from this process's (None for the peer's chunks)."""
         return [mine if mine is not None else peers for mine, peers in zip(parts, self.trade(parts))]
-
-    def report(self, error: Exception):
-        """Send error as this process's failure at the next trade; returns
-        the peer's message there, or None if the peer is gone."""
-        try:
-            return self._swap(_Failure(error, self.teaching))
-        except (EOFError, OSError):
-            return None
 
 
 def _openblas_threads():
@@ -503,11 +427,15 @@ def _blas_threads_at_most(n: int):
             calls[1](old)
 
 
-def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, peer) -> TrainResult:
+def _train_loop(train_ds, modelsel_ds, config, specs, peer) -> TrainResult:
     """train()'s loop over peer.half's forwards (_shares), trading with
     peer for the others; every process of a run returns the same result.
-    A process steps each network it forwards a chunk of in a full batch,
-    and scores each network whose first chunk it forwards."""
+    It draws its networks from specs and its shuffle from config.seed, so
+    each run of a job starts afresh. A process steps each network it
+    forwards a chunk of in a full batch, and scores each network whose
+    first chunk it forwards."""
+    shuffle_rng = np.random.default_rng(derive_train_seeds(config.seed)[0])
+    nets = [init_network(spec) for spec in specs]
     n = len(train_ds)
     labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
@@ -534,7 +462,7 @@ def _train_loop(train_ds, modelsel_ds, config, nets, shuffle_rng, peer) -> Train
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             x, y = train_ds.patches[idx], labels_work[idx]
-            sets, logits = _cross_teach(nets, steps, peer, x, y, r, s_eff, config.lr)
+            sets, logits = canc_iteration(nets, steps, x, y, r, s_eff, config.lr, peer)
             for k in seen:
                 seen[k][:, idx] = twin_labels(logits[k])
             n_clean += sum(len(clean) for clean, _ in sets.values())

@@ -1,9 +1,11 @@
 """Reference implementations that the package no longer ships, kept as
-independent oracles for the tests."""
+independent oracles for the tests, and pair_iteration, the training loop's
+step on a pair of networks in one process."""
 
 import os
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,7 +15,7 @@ from canclab import (ConfigError, MaskDataset, NetworkSpec, build_mask_dataset, 
                      parse_layers, predict, prf1, select_clean, sgd_step)
 from canclab.data import _label_patches, _split_indices
 from canclab.nn import Conv, Dense, _backward, _forward
-from canclab.training import derive_train_seeds
+from canclab.training import _Alone, canc_iteration, derive_train_seeds
 
 CHUNK = 128  # rows per chunk of canclab.nn's forward and backward
 
@@ -50,6 +52,28 @@ def coteaching_teach(net, fwd, y, peer_losses, r, s, lr):
     assert s == 0.0, "the co-teaching oracle has no swap step"
     clean = select_clean(peer_losses, r)
     return sgd_step(net, y, fwd, lr, clean), clean, np.empty(0, dtype=np.int64)
+
+
+def pair_iteration(m1, m2, x, y, r, s, lr):
+    """One cross-teaching step with active label swapping of the pair (m1,
+    m2) on the batch (x, y), taken by train()'s loop in one process.
+
+    Each network ranks the batch by its own per-sample loss on the labels
+    as given, takes the low-loss fraction r as clean and the top-loss
+    fraction s for flipping, and the peer does one SGD step on the union
+    over its own ranking forward, swapped rows against their flipped
+    labels. Returns the two stepped networks and the sets: clean_for_m2
+    and swap_for_m2 chosen by network 1, and vice versa. s must not exceed
+    1 - r; at s = 1 - r the sets can still collide on loss ties, and any
+    collision resolves in favor of the swap.
+    """
+    if s > 1.0 - r + 1e-12:
+        raise ConfigError(f"swap rate {s} exceeds 1 - remember rate {1.0 - r}")
+    nets = [m1, m2]
+    sets, _ = canc_iteration(nets, {0: False, 1: False}, x, y, r, s, lr, _Alone())
+    (clean_for_m1, swap_for_m1), (clean_for_m2, swap_for_m2) = sets[0], sets[1]
+    return nets[0], nets[1], SimpleNamespace(clean_for_m2=clean_for_m2, swap_for_m2=swap_for_m2,
+                                             clean_for_m1=clean_for_m1, swap_for_m1=swap_for_m1)
 
 
 def network_metrics(net, ds):

@@ -1,7 +1,8 @@
 """The benchmark's span tracer wraps canclab functions by name, in the
 namespaces that call them. A rename there silently drops a per-layer metric
 from a traced run, so this checks the names the bench reports against the
-package, reading the bench's own tables without changing them."""
+package, and that the training loop calls them, reading the bench's own
+tables without changing them."""
 
 import ast
 import importlib
@@ -9,7 +10,10 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from canclab import MaskDataset, TrainConfig, train, training
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -61,3 +65,32 @@ def test_every_reported_span_has_a_hook_target():
 def test_a_renamed_hook_target_is_caught(monkeypatch, module, attr, span):
     monkeypatch.delattr(importlib.import_module(module), attr)
     assert unhooked_spans() == [span]
+
+
+def test_the_training_loop_calls_every_hooked_training_function(monkeypatch):
+    """A one-process train() calls each function the bench hooks on
+    canclab.training at least once, and canc_iteration once a batch, so no
+    traced run reads 0 calls for a hook whose target exists."""
+    hooked = sorted({hook.attr for hook in bench_hooks()
+                     if hook.module == training.__name__ and callable(getattr(training, hook.attr, None))})
+    assert "canc_iteration" in hooked
+    calls = dict.fromkeys(hooked, 0)
+
+    def counting(attr, real):
+        def call(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for attr in hooked:
+        monkeypatch.setattr(training, attr, counting(attr, getattr(training, attr)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rng = np.random.default_rng(0)
+    n = 40
+    ds = MaskDataset(patches=rng.uniform(0, 1, size=(n, 8, 8, 1)), labels=rng.integers(0, 2, size=n),
+                     scene_ids=np.zeros(n, dtype=np.int64), rows=np.arange(n, dtype=np.int64),
+                     cols=np.zeros(n, dtype=np.int64))
+    cfg = TrainConfig(network="conv(3,3,2) lrelu(0.1) dense(2)", t_max=2, t_k=1, batch_size=16)
+    train(ds, ds, cfg)
+    assert calls["canc_iteration"] == cfg.t_max * -(-n // cfg.batch_size)
+    assert [attr for attr, count in calls.items() if count == 0] == []

@@ -78,6 +78,12 @@ def test_mask_size_must_divide_scene_size_at_load(m):
     DataConfig(source="file", path="masks.bin", scene_size=64, m=m)  # the file decides
 
 
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+def test_split_that_does_not_sum_to_1_fails_at_load(source):
+    with pytest.raises(ConfigError, match="fractions must sum to 1"):
+        DataConfig(source=source, path="masks.bin", split=(0.5, 0.2, 0.2))
+
+
 def test_scene_shape_validation():
     with pytest.raises(DataError):
         Scene(image=np.zeros((8, 8)), gt=np.zeros((8, 8)))  # missing channel axis

@@ -16,7 +16,6 @@ from canclab import (
     NetworkSpec,
     NumericError,
     TrainConfig,
-    canc_iteration,
     flip_labels,
     forward,
     init_network,
@@ -29,8 +28,8 @@ from canclab import (
 )
 from canclab import nn
 from canclab.nn import _backward, _forward, layer_plan
-from oracles import (chunk_forwards, chunk_order_backward, full_backward, tensordot_forward,
-                     zeroed)
+from oracles import (chunk_forwards, chunk_order_backward, full_backward, pair_iteration,
+                     tensordot_forward, zeroed)
 
 
 def tiny_spec(seed=0):
@@ -493,7 +492,7 @@ def test_non_finite_activation_names_the_first_bad_chunks_layer():
 
 
 ENTRY_POINTS = {
-    "canc_iteration": lambda net, x, y: canc_iteration(net, net, x, y, 1.0, 0.0, 0.1),
+    "canc_iteration": lambda net, x, y: pair_iteration(net, net, x, y, 1.0, 0.0, 0.1),
     "per_sample_loss": lambda net, x, y: per_sample_loss(forward(net, x)[0], y),
     "loss_and_gradients": lambda net, x, y: loss_and_gradients(net, y, forward(net, x)),
     "sgd_step": lambda net, x, y: step_on(net, x, y, 0.1),

@@ -17,7 +17,6 @@ from canclab import (
     NetworkSpec,
     NumericError,
     TrainConfig,
-    canc_iteration,
     confusion,
     dataset_metrics,
     flip_labels,
@@ -37,8 +36,8 @@ from canclab import (
 from canclab import nn, training
 from canclab.config import load_config
 from canclab.harness import prepare_data
-from oracles import (coteaching_teach, gather_and_forward_step, network_metrics, vanilla_replay,
-                     zeroed)
+from oracles import (coteaching_teach, gather_and_forward_step, network_metrics, pair_iteration,
+                     vanilla_replay, zeroed)
 
 NETWORK = "conv(3,3,2) lrelu(0.1) dense(2)"
 SPEC = NetworkSpec(input_size=8, channels=1, layers=parse_layers(NETWORK))
@@ -202,7 +201,7 @@ def test_canc_iteration_counts():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=3)
-    _, _, diag = canc_iteration(m1, m2, x, y, r=0.6, s=0.2, lr=0.1)
+    _, _, diag = pair_iteration(m1, m2, x, y, r=0.6, s=0.2, lr=0.1)
     assert len(diag.clean_for_m2) == 6 and len(diag.swap_for_m2) == 2
     assert len(diag.clean_for_m1) == 6 and len(diag.swap_for_m1) == 2
 
@@ -226,7 +225,7 @@ def test_canc_iteration_matches_manual_assembly_oracle():
     x, y = rand_batch(n=12, seed=4)
     r, s, lr = 0.5, 0.25, 0.2
 
-    m1_new, m2_new, _ = canc_iteration(m1, m2, x, y, r, s, lr)
+    m1_new, m2_new, _ = pair_iteration(m1, m2, x, y, r, s, lr)
 
     oracle_m2 = manual_update(m1, m2, x, y, r, s, lr)
     oracle_m1 = manual_update(m2, m1, x, y, r, s, lr)
@@ -260,7 +259,7 @@ def test_canc_iteration_forwards_each_network_once(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(nn, "_forward", counting_forward)
-        m1_new, m2_new, _ = canc_iteration(m1, m2, x, y, r, s, lr)
+        m1_new, m2_new, _ = pair_iteration(m1, m2, x, y, r, s, lr)
     # one forward per network over the whole batch, none for the steps
     assert rows_seen == [64, 64]
     assert params_equal(m2_new, manual_update(m1, m2, x, y, r, s, lr))
@@ -301,7 +300,7 @@ def test_peer_step_matches_gather_and_forward_oracle(name, b):
         want = gather_and_forward_step(m1, x, y, everyone, nobody, lr)
         assert bytes_equal(sgd_step(m1, y, forward(m1, x), lr), want)
         for r, s in STEP_GRID_RATES:
-            new1, new2, diag = canc_iteration(m1, m2, x, y, r, s, lr)
+            new1, new2, diag = pair_iteration(m1, m2, x, y, r, s, lr)
             want1 = gather_and_forward_step(m1, x, y, diag.clean_for_m1, diag.swap_for_m1, lr)
             want2 = gather_and_forward_step(m2, x, y, diag.clean_for_m2, diag.swap_for_m2, lr)
             for got, want in ((new1, want1), (new2, want2)):
@@ -316,7 +315,7 @@ def test_canc_s_zero_bitwise_equals_coteaching_iteration():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=5)
-    a1, a2, _ = canc_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
+    a1, a2, _ = pair_iteration(m1, m2, x, y, r=0.7, s=0.0, lr=0.3)
     fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
     losses_1, losses_2 = per_sample_loss(fwd_1[0], y), per_sample_loss(fwd_2[0], y)
     b1, _, _ = coteaching_teach(m1, fwd_1, y, losses_2, r=0.7, s=0.0, lr=0.3)
@@ -330,7 +329,7 @@ def test_cross_update_direction():
     m2 = init_network(replace(SPEC, seed=2))
     x, y = rand_batch(n=10, seed=6)
     fwd_1, fwd_2 = forward(m1, x), forward(m2, x)
-    new1, new2, _ = canc_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
+    new1, new2, _ = pair_iteration(m1, m2, x, y, r=0.5, s=0.0, lr=0.1)
 
     sel2 = select_clean(per_sample_loss(fwd_2[0], y), 0.5)
     expect1 = sgd_step(m1, y, fwd_1, 0.1, sel2)
@@ -346,7 +345,7 @@ def test_canc_iteration_rejects_overflowing_swap():
     m1 = init_network(replace(SPEC, seed=1))
     m2 = init_network(replace(SPEC, seed=2))
     with pytest.raises(ConfigError):
-        canc_iteration(m1, m2, *rand_batch(), r=0.8, s=0.5, lr=0.1)
+        pair_iteration(m1, m2, *rand_batch(), r=0.8, s=0.5, lr=0.1)
 
 
 def test_canc_iteration_loss_ties_swap_wins():
@@ -354,7 +353,7 @@ def test_canc_iteration_loss_ties_swap_wins():
     # five and the highest five indices are both rows 0-4, the swap keeps
     # them and the clean set falls back to its one-row floor, row 5
     zeros = zeroed(init_network(SPEC))
-    _, _, diag = canc_iteration(zeros, zeros, *rand_batch(n=10, seed=7), r=0.5, s=0.5, lr=0.1)
+    _, _, diag = pair_iteration(zeros, zeros, *rand_batch(n=10, seed=7), r=0.5, s=0.5, lr=0.1)
     assert diag.clean_for_m2.tolist() == [5]
     assert diag.swap_for_m2.tolist() == [0, 1, 2, 3, 4]
 
@@ -823,7 +822,7 @@ def test_split_network_raises_the_one_process_error_of_a_non_finite_sum(monkeypa
 
 
 def test_forked_pair_trades_once_per_iteration_and_once_per_epoch(monkeypatch):
-    """The parent trades losses each iteration and, at each epoch's end,
+    """The parent trades logits each iteration and, at each epoch's end,
     its network with both its scores in one trade; on epochs that pick the
     twin too, the pair's records are the one-process records."""
     train_ds, modelsel = inverted_task(PAIR_ROWS)
@@ -872,15 +871,41 @@ def test_forked_pair_raises_the_one_process_error(monkeypatch, faults, raised):
             return real(net, *args, **kwargs)
         return call
 
+    real_loop = training._train_loop
+
+    def loop(*args):  # each run of the loop counts afresh: the pair's, its rerun's, one process's
+        calls.clear()
+        return real_loop(*args)
+
     for name in ("forward", "sgd_step", "dataset_metrics"):
         monkeypatch.setattr(training, name, faulty(name, getattr(training, name)))
-    outcomes = []
-    for cpus in (2, 1):
-        calls.clear()
-        outcomes.append(run_pair(monkeypatch, ds, cfg, cpus))
-    forked, one = outcomes
+    monkeypatch.setattr(training, "_train_loop", loop)
+    forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
     assert isinstance(one, NumericError) and str(one).startswith(raised)
     assert isinstance(forked, NumericError) and str(forked) == str(one)
+
+
+def test_a_dead_worker_leaves_the_one_process_run(monkeypatch):
+    """A worker that dies at its 4th forward ends the pair, and train()
+    returns the one-process run's result, with no process left behind."""
+    ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
+    cfg = base_config(t_max=2, batch_size=32, swap_rate=0.2)
+    parent, real_forward, calls = os.getpid(), training.forward, []
+
+    def forward(net, x):
+        calls.append(len(x))  # the worker's calls land in its own copy
+        if os.getpid() != parent and len(calls) == 4:
+            os._exit(1)
+        return real_forward(net, x)
+
+    monkeypatch.setattr(training, "forward", forward)
+    forked, one = run_pair(monkeypatch, ds, cfg, 2), run_pair(monkeypatch, ds, cfg, 1)
+    assert repr(forked.records) == repr(one.records)
+    assert (forked.best_epoch, forked.best_accuracy) == (one.best_epoch, one.best_accuracy)
+    for got, want in zip((forked.best_network, *forked.final_networks),
+                         (one.best_network, *one.final_networks)):
+        assert network_bytes(got) == network_bytes(want)
+    assert multiprocessing.active_children() == []
 
 
 def test_forked_worker_runs_the_patched_teach_half(monkeypatch):
