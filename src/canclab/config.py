@@ -116,6 +116,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -64,12 +64,11 @@ class Scene:
 class DataConfig:
     """The [data] section: where the masks come from and how they are cut,
     labeled and split. With source = synthetic, generate_scene reads
-    scene_size, channels, seed and the building, background and pixel
-    noise knobs; all ranges are inclusive and are checked here (the
-    intensities inside [0, 1]), and so are channels >= 1, tau_label in
-    (0, 1), that m divides scene_size and that the split leaves no
-    partition empty. Either source needs seed >= 0 and split fractions
-    > 0 that sum to 1."""
+    scene_size, channels, seed and the building count and side ranges;
+    both ranges are inclusive and are checked here, and so are channels
+    >= 1, tau_label in (0, 1), that m divides scene_size and that the split
+    leaves no partition empty. Either source needs seed >= 0 and split
+    fractions > 0 that sum to 1."""
 
     source: str = "synthetic"
     path: str = ""
@@ -82,9 +81,6 @@ class DataConfig:
     seed: int = 0
     building_count: tuple = (8, 24)
     building_side: tuple = (16, 64)
-    building_intensity: tuple = (0.55, 0.95)
-    background_intensity: tuple = (0.05, 0.45)
-    pixel_noise: float = 0.04
 
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
@@ -113,12 +109,6 @@ class DataConfig:
             raise ConfigError(
                 f"building side up to {self.building_side[1]} exceeds scene size {self.scene_size}"
             )
-        if self.pixel_noise < 0:
-            raise ConfigError("pixel_noise must be >= 0")
-        for name in ("building_intensity", "background_intensity"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi <= 1:
-                raise ConfigError(f"{name} range ({lo},{hi}) is empty or outside [0,1]")
         _check_tau(self.tau_label)
 
     def split_indices(self):
@@ -132,6 +122,12 @@ class DataConfig:
 
 
 _PLACEMENT_ATTEMPTS = 40  # rejection-sampling budget per building
+# a building's or the background's intensity is drawn from its range, then
+# every pixel gains uniform noise in +-_PIXEL_NOISE: so every pixel lies in
+# [0.01, 0.99], and every building pixel is brighter than every background one
+_BUILDING_INTENSITY = (0.55, 0.95)
+_BACKGROUND_INTENSITY = (0.05, 0.45)
+_PIXEL_NOISE = 0.04
 
 
 def generate_scene(d: DataConfig, scene_id: int = 0) -> Scene:
@@ -143,12 +139,10 @@ def generate_scene(d: DataConfig, scene_id: int = 0) -> Scene:
     """
     n, c = d.scene_size, d.channels
     rng = np.random.default_rng(np.random.SeedSequence((d.seed, scene_id)))
-    lo, hi = d.background_intensity
-    image = rng.uniform(lo, hi, size=(n, n, c))
+    image = rng.uniform(*_BACKGROUND_INTENSITY, size=(n, n, c))
     gt = np.zeros((n, n), dtype=np.uint8)
 
     count = int(rng.integers(d.building_count[0], d.building_count[1] + 1))
-    blo, bhi = d.building_intensity
     for _ in range(count):
         h = int(rng.integers(d.building_side[0], d.building_side[1] + 1))
         w = int(rng.integers(d.building_side[0], d.building_side[1] + 1))
@@ -156,13 +150,11 @@ def generate_scene(d: DataConfig, scene_id: int = 0) -> Scene:
             r = int(rng.integers(0, n - h + 1))
             col = int(rng.integers(0, n - w + 1))
             if not gt[r : r + h, col : col + w].any():
-                image[r : r + h, col : col + w, :] = rng.uniform(blo, bhi, size=c)
+                image[r : r + h, col : col + w, :] = rng.uniform(*_BUILDING_INTENSITY, size=c)
                 gt[r : r + h, col : col + w] = 1
                 break
 
-    if d.pixel_noise > 0:
-        image += rng.uniform(-d.pixel_noise, d.pixel_noise, size=(n, n, c))
-        np.clip(image, 0.0, 1.0, out=image)
+    image += rng.uniform(-_PIXEL_NOISE, _PIXEL_NOISE, size=(n, n, c))
     return Scene(image=image, gt=gt, scene_id=scene_id)
 
 

@@ -67,6 +67,17 @@ def resolve_out_dir(configured: str, override: str = None) -> str:
     return path
 
 
+def _make_out_dir(configured: str, override: str = None) -> str:
+    """resolve_out_dir's directory, made if it is missing. A path that
+    cannot be made a directory, such as an existing file, is a ConfigError."""
+    path = resolve_out_dir(configured, override)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+    return path
+
+
 def _write_atomic(path: str, data) -> None:
     tmp = path + ".tmp"
     mode = "wb" if isinstance(data, bytes) else "w"
@@ -155,8 +166,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = None) -> RunReport:
     started = time.monotonic()
     if cfg.data.source == "synthetic":
         NetworkSpec(cfg.data.m, cfg.data.channels, parse_layers(cfg.train.network))
-    out = resolve_out_dir(cfg.output.dir, out_dir)
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(cfg.output.dir, out_dir)
 
     train_ds, modelsel_ds, eval_ds = prepare_data(cfg)
     result = train(train_ds, modelsel_ds, cfg.train)
@@ -216,8 +226,7 @@ def gen_data(cfg: ExperimentConfig, out_dir: str = None) -> dict:
     label, each partition's rows placed by scene and grid position."""
     if cfg.data.source != "synthetic":
         raise ConfigError("gen-data needs [data] source = synthetic")
-    out = resolve_out_dir(cfg.output.dir, out_dir)
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(cfg.output.dir, out_dir)
 
     parts = prepare_data(cfg)
     g = cfg.data.scene_size // cfg.data.m
@@ -275,7 +284,6 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
     config is built, and so checked, before the first run: a bad grid
     value fails before any scene is drawn or any directory made."""
     grid = parse_grid(grid_text)
-    root = os.path.abspath(resolve_out_dir(cfg.output.dir, out_dir))
     cells = []
     for algo, noise, eps in itertools.product(
         grid.get("algo", [cfg.train.algo]),
@@ -290,7 +298,7 @@ def sweep(cfg: ExperimentConfig, grid_text: str = DEFAULT_GRID, out_dir: str = N
             output=replace(cfg.output, dir=os.path.join(cfg.output.dir, cell)),
         )
         cells.append((cell, cell_cfg))
-    os.makedirs(root, exist_ok=True)
+    root = os.path.abspath(_make_out_dir(cfg.output.dir, out_dir))
 
     rows = []
     for cell, cell_cfg in cells:

@@ -52,7 +52,10 @@ class TrainConfig:
     """Everything a training run needs besides the data: the algorithm, its
     schedule, and the network's layer list. The masks give the network its
     input shape, so a layer list that cannot fit them fails in train()
-    (and, on a synthetic source, in run_experiment before any scene)."""
+    (and, on a synthetic source, in run_experiment before any scene).
+    CANC swaps S_eff = min(swap_rate, 1 - R) of each batch, which keeps the
+    clean and swap sets disjoint except on loss ties; swap_rate = 1 pins S
+    to 1 - R."""
 
     algo: str = "canc"
     network: str = "conv(6,5,2) lrelu(0.1) conv(12,3,2) lrelu(0.1) dense(2)"
@@ -62,8 +65,6 @@ class TrainConfig:
     batch_size: int = 64
     tau_f: float = 0.45
     swap_rate: float = 0.05
-    ablation_s_equals_1_minus_r: bool = False  # S = 1 - R(T) in place of swap_rate
-    persist_swaps: bool = False
     seed: int = 2  # fans out into the shuffle and two init seeds
 
     def __post_init__(self):
@@ -82,13 +83,6 @@ class TrainConfig:
             raise ConfigError("tau_f must be in [0,1)")
         if not 0.0 <= self.swap_rate <= 1.0:
             raise ConfigError("swap_rate must be in [0,1]")
-        # keeps clean and swap sets disjoint even once R bottoms out at
-        # 1 - tau_f; the ablation pins S to the schedule instead
-        fixed_s = not self.ablation_s_equals_1_minus_r
-        if self.algo == "canc" and fixed_s and self.swap_rate > self.tau_f:
-            raise ConfigError(
-                f"swap_rate {self.swap_rate} must not exceed tau_f {self.tau_f}"
-            )
 
 
 @dataclass(frozen=True)
@@ -291,10 +285,10 @@ def train(train_ds: MaskDataset, modelsel_ds: MaskDataset, config: TrainConfig) 
 
     vanilla trains one network that teaches itself at R = 1, S = 0: every
     row as labelled. coteaching and canc train two networks that cross-teach
-    as canc_iteration does, coteaching at S = 0 and canc at the configured
-    swap rate. With persist_swaps,
-    flips write back to a private working copy of the labels (the input
-    dataset is untouched).
+    as canc_iteration does, coteaching at S = 0 and canc at
+    S_eff = min(swap_rate, 1 - R), so swap_rate = 1 gives S = 1 - R. A
+    swap flips a row's label for that batch's step only: every batch reads
+    the dataset's labels as stored.
 
     Model selection is up to label polarity. Above 1/2 symmetric noise the
     training labels fit the inverted concept as well as a lower noise rate
@@ -437,7 +431,6 @@ def _train_loop(train_ds, modelsel_ds, config, specs, peer) -> TrainResult:
     shuffle_rng = np.random.default_rng(derive_train_seeds(config.seed)[0])
     nets = [init_network(spec) for spec in specs]
     n = len(train_ds)
-    labels_work = train_ds.labels.copy()
     clean_ref = train_ds.clean_labels  # may be None; diagnostics only
     full = min(config.batch_size, n)
     other = {} if peer.half is None else _shares(len(nets), full, 1 - peer.half)
@@ -450,31 +443,22 @@ def _train_loop(train_ds, modelsel_ds, config, specs, peer) -> TrainResult:
     for epoch in range(config.t_max):
         # the epoch's (R, S): vanilla (1, 0), coteaching (R(T), 0), canc (R(T), S_eff)
         r = 1.0 if config.algo == "vanilla" else remember_rate(epoch, config.t_k, config.tau_f)
-        if config.algo != "canc":
-            s_eff = 0.0
-        elif config.ablation_s_equals_1_minus_r:
-            s_eff = 1.0 - r
-        else:
-            s_eff = min(config.swap_rate, 1.0 - r)
+        s_eff = min(config.swap_rate, 1.0 - r) if config.algo == "canc" else 0.0
 
         n_clean = n_swapped = n_swap_correct = 0
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            x, y = train_ds.patches[idx], labels_work[idx]
+            x, y = train_ds.patches[idx], train_ds.labels[idx]
             sets, logits = canc_iteration(nets, steps, x, y, r, s_eff, config.lr, peer)
             for k in seen:
                 seen[k][:, idx] = twin_labels(logits[k])
             n_clean += sum(len(clean) for clean, _ in sets.values())
             swapped_local = np.concatenate([swap for _, swap in sets.values()])
             n_swapped += swapped_local.size
-            if swapped_local.size:
+            if clean_ref is not None:
                 flipped = 1 - y[swapped_local]
-                if clean_ref is not None:
-                    n_swap_correct += int(np.sum(flipped == clean_ref[idx[swapped_local]]))
-                if config.persist_swaps:
-                    uniq = np.unique(idx[swapped_local])
-                    labels_work[uniq] = 1 - labels_work[uniq]
+                n_swap_correct += int(np.sum(flipped == clean_ref[idx[swapped_local]]))
 
         # epoch bookkeeping: score both networks on the model-selection
         # split up to polarity (tie -> network 1), then read the pick

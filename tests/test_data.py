@@ -47,14 +47,14 @@ def test_scene_ids_give_distinct_scenes():
 
 
 def test_scene_pixels_in_unit_range_and_gt_binary():
-    scene = generate_scene(small_params(pixel_noise=0.1))
+    scene = generate_scene(small_params())
     assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
     assert set(np.unique(scene.gt)) <= {0, 1}
     assert scene.gt.sum() > 0  # at least one building landed
 
 
 def test_buildings_brighter_than_background():
-    scene = generate_scene(small_params(pixel_noise=0.0))
+    scene = generate_scene(small_params())
     assert scene.image[scene.gt == 1].min() > scene.image[scene.gt == 0].max()
 
 
@@ -63,8 +63,6 @@ def test_scene_param_validation():
         DataConfig(scene_size=32, building_side=(8, 64))  # building exceeds scene
     with pytest.raises(ConfigError):
         DataConfig(building_count=(5, 2))
-    with pytest.raises(ConfigError):
-        DataConfig(pixel_noise=-0.1)
     with pytest.raises(ConfigError):  # at load, before any scene is built
         parse_config_text("[data]\nbuilding_count = 5,2\n")
     # a file source generates no scenes, so its scene knobs go unchecked

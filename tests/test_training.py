@@ -377,11 +377,9 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         base_config(tau_f=1.0)
     with pytest.raises(ConfigError):
-        base_config(swap_rate=0.5, tau_f=0.4)  # swap must not exceed tau_f
-    with pytest.raises(ConfigError):
         base_config(t_max=0)
-    # the schedule-coupled ablation lifts the swap_rate cap
-    base_config(swap_rate=0.5, tau_f=0.4, ablation_s_equals_1_minus_r=True)
+    # S_eff = min(swap_rate, 1 - R) keeps the sets disjoint: no cap at tau_f
+    base_config(swap_rate=1.0, tau_f=0.4)
 
 
 def test_train_single_iteration_layout():
@@ -473,7 +471,7 @@ def test_train_vanilla_bitwise_equals_plain_sgd_replay():
 def test_train_does_not_mutate_dataset_labels():
     ds = toy_dataset(n=48, seed=4, noisy=True)
     before = ds.labels.copy()
-    train(ds, ds, base_config(persist_swaps=True, t_max=3))
+    train(ds, ds, base_config(t_max=3))
     assert np.array_equal(ds.labels, before)
 
 
@@ -506,17 +504,10 @@ def test_train_first_epoch_swaps_nothing():
 
 def test_train_one_minus_r_mode_tracks_schedule():
     ds = toy_dataset(n=64, seed=8, noisy=True)
-    cfg = base_config(t_max=3, t_k=2, ablation_s_equals_1_minus_r=True, swap_rate=0.0, tau_f=0.4)
+    cfg = base_config(t_max=3, t_k=2, swap_rate=1.0, tau_f=0.4)
     result = train(ds, ds, cfg)
     for rec in result.records:
         assert rec.swap_rate == pytest.approx(1.0 - rec.remember_rate)
-
-
-def test_train_persist_swaps_changes_dynamics():
-    ds = toy_dataset(n=64, seed=9, noisy=True)
-    a = train(ds, ds, base_config(t_max=4, t_k=1, swap_rate=0.3))
-    b = train(ds, ds, base_config(t_max=4, t_k=1, swap_rate=0.3, persist_swaps=True))
-    assert repr(a.records) != repr(b.records)
 
 
 def test_train_rejects_empty_sets():
@@ -666,7 +657,7 @@ def network_bytes(net):
 
 def test_forked_pair_matches_one_process_bit_for_bit(monkeypatch):
     ds = toy_dataset(n=PAIR_ROWS, seed=8, noisy=True)
-    cfg = base_config(t_max=3, t_k=1, batch_size=128, swap_rate=0.2, persist_swaps=True)
+    cfg = base_config(t_max=3, t_k=1, batch_size=128, swap_rate=0.2)
     blas = training._openblas_threads()
     seen = []  # (pid, network seed, BLAS threads) of each rank in this process
     real_rank = training._rank

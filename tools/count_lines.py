@@ -1,14 +1,17 @@
-"""Count the lines of the canclab package.
+"""Count the lines and the config keys of the canclab package.
 
 Prints the total line count of src/canclab/*.py and its code lines: every
 line that holds a token other than a comment, with docstrings (module,
 class and function) not counted. Blank and comment-only lines are found
-with tokenize, docstrings with ast. Run from anywhere:
+with tokenize, docstrings with ast. Then prints the number of config keys,
+each an independently settable value: the keys of every section of
+canclab.config._KEYS, with each section's count. Run from anywhere:
 
     python3 tools/count_lines.py
 """
 
 import ast
+import sys
 import tokenize
 from pathlib import Path
 
@@ -46,6 +49,11 @@ def main():
     totals = [count(p) for p in sorted(PACKAGE.glob("*.py"))]
     lines, code = (sum(column) for column in zip(*totals))
     print(f"src/canclab: {lines:,} lines, {code:,} code lines")
+    sys.path.insert(0, str(PACKAGE.parent))
+    from canclab.config import _KEYS
+
+    sections = ", ".join(f"{section} {len(keys)}" for section, keys in _KEYS.items())
+    print(f"config keys: {sum(map(len, _KEYS.values()))} ({sections})")
 
 
 if __name__ == "__main__":
