@@ -786,7 +786,10 @@ def test_cli_split_that_cannot_be_made_exit_2_before_any_scene(
 @pytest.mark.parametrize("old, new", [
     ("split = 0.6,0.2,0.2", "split = nan,0.5,0.5"),
     ("seed = 0", "seed = 0\ntau_label = inf"),
+    ("epsilon = 0.35", "epsilon = nan"),
     ("lr = 0.05", "lr = nan"),
+    ("tau_f = 0.45", "tau_f = inf"),
+    ("swap_rate = 0.1", "swap_rate = -inf"),
 ])
 def test_cli_non_finite_float_exit_2_before_any_scene(
     monkeypatch, tmp_path, capsys, old, new, command
@@ -798,6 +801,9 @@ def test_cli_non_finite_float_exit_2_before_any_scene(
 @pytest.mark.parametrize("command", ["run", "gen-data"])
 @pytest.mark.parametrize("value, error", [
     ("channels = 0", "channels must be >= 1"),
+    ("building_count = 5,2", "building_count range (5,2)"),
+    ("building_side = -2,8", "building_side range (-2,8)"),
+    ("building_side = 8,200", "building side up to 200 exceeds scene size 128"),
     ("tau_label = 0", "tau_label must be in (0,1)"),
     ("tau_label = 1", "tau_label must be in (0,1)"),
 ])
